@@ -13,41 +13,15 @@ from .info_structure import InfoStructure
 from .security import ConstraintSystem, SecurityParams, build_constraints
 from .synthesis import minmax_deposit
 
-POWER_REL_TOL = 1e-10
-POWER_MAX_ITER = 10000
-
 
 def spectral_norm(mat) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    Deterministic: starts from a fixed pseudorandom vector and iterates
-    until the Rayleigh quotient is stable to POWER_REL_TOL.
-    """
+    """Largest singular value."""
     m = np.asarray(mat, dtype=np.float64)
     if m.ndim != 2:
         raise ValidationError(f"expected a matrix, got ndim {m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix has non-finite entries")
-    if m.size == 0 or not m.any():
-        return 0.0
-    # iterate on the smaller Gram matrix
-    gram = m.T @ m if m.shape[1] <= m.shape[0] else m @ m.T
-    k = gram.shape[0]
-    v = np.random.default_rng(1729).standard_normal(k)
-    v /= np.linalg.norm(v)
-    lam = float(v @ gram @ v)
-    for _ in range(POWER_MAX_ITER):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_next = float(v @ gram @ v)
-        if abs(lam_next - lam) <= POWER_REL_TOL * max(abs(lam_next), 1e-300):
-            lam = lam_next
-            break
-        lam = lam_next
-    return math.sqrt(max(lam, 0.0))
+    return float(np.linalg.norm(m, 2))
 
 
 @dataclass(frozen=True)
@@ -79,8 +53,8 @@ def constraint_utility_product(system: ConstraintSystem, u: np.ndarray) -> np.nd
     """The alpha x n matrix pairing each constraint row with each player's
     utility row: entry (r, i) applies row r's per-leaf coefficients for
     player i to that player's utilities.  Its 2-norm drives the bound."""
-    a = system.a.reshape(system.alpha, system.n, system.m)
-    return np.einsum("rim,im->ri", a, u)
+    only = [np.where(np.arange(system.n)[:, None] == i, u, 0.0) for i in range(system.n)]
+    return np.column_stack([system.dot(x) for x in only])
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Exit codes: 0 success (including a passing verify and a bound report),
 1 negative result (infeasible synthesis, failed verify, target not
 implementable), 2 bad input or usage (validation, JSON, file, unbounded
-program), 3 numerical failure.  A GAME or SCHEME argument of "-" reads
-the document from stdin.
+program, a document nested too deeply to read), 3 numerical failure.
+A GAME or SCHEME argument of "-" reads the document from stdin.
 """
 
 from __future__ import annotations
@@ -386,6 +386,9 @@ def dispatch(argv=None, stdout=None, stderr=None, stdin=None) -> int:
         return 2
     except (Error, json.JSONDecodeError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
+        return 2
+    except RecursionError:
+        stderr.write("error: document nests too deeply\n")
         return 2
 
 

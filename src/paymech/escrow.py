@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch
-from .game_core import Branch, Chance, GameTree, StrategyProfile, check_profile
+from .game_core import Branch, GameTree, StrategyProfile, check_profile
 from .info_structure import InfoStructure, PaymentScheme
 
 
@@ -60,16 +60,20 @@ def run_episode(
 ) -> Episode:
     """Play one episode under the profile with a seeded generator."""
     _check_instance(tree, info, scheme)
-    check_profile(tree, profile)
-    rng = np.random.default_rng(seed)
+    return _play(tree, info, scheme, check_profile(tree, profile), seed)
 
-    node = tree.root
-    while isinstance(node, (Branch, Chance)):
+
+def _play(tree, info, scheme, chosen, seed) -> Episode:
+    """One episode under the resolved profile `chosen`."""
+    rng = np.random.default_rng(seed)
+    v = 0
+    while tree.kids[v]:
+        node = tree.order[v]
         if isinstance(node, Branch):
-            node = node.child(profile[node.id])
+            v = chosen[v]
         else:
-            probs = [p for p, _ in node.children]
-            node = node.children[_sample_index(probs, rng)][1]
+            v = tree.kids[v][_sample_index([p for p, _ in node.children], rng)]
+    node = tree.order[v]
 
     symbol_index = _sample_index(node.emission, rng)
     deposits = scheme.max_deposits
@@ -114,13 +118,13 @@ def monte_carlo(
     if trials < 1:
         raise BadParameters(f"trials must be >= 1, got {trials}")
     _check_instance(tree, info, scheme)
-    check_profile(tree, profile)
+    chosen = check_profile(tree, profile)
 
     utilities = np.empty((trials, tree.n))
     losses = np.empty((trials, tree.n))
     counts = np.zeros(info.s)
     for idx in range(trials):
-        ep = run_episode(tree, info, scheme, profile, trial_seed(seed, idx))
+        ep = _play(tree, info, scheme, chosen, trial_seed(seed, idx))
         utilities[idx] = ep.realized_utilities
         losses[idx] = ep.net_losses
         counts[ep.symbol_index] += 1.0

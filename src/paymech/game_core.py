@@ -8,6 +8,14 @@ reporting mechanism observes the play.  Leaves are indexed 0..m-1 in
 depth-first, left-to-right order; that order fixes the columns of the
 utility matrix and of the emission matrix everywhere else in the
 package.
+
+Construction validates the tree and compiles it, in one iterative pass,
+into preorder arrays: `order[v]` is the node at preorder position v and
+`kids[v]` its child positions.  Each call resolves a strategy profile
+once into `chosen`, the chosen child position of every branch.  The
+analyses are three loops over these arrays, none recursive: the
+top-down spread `GameTree.reach`, the bottom-up `_fold` over reversed
+preorder, and the sampled path of an escrow episode.
 """
 
 from __future__ import annotations
@@ -50,13 +58,16 @@ class Branch:
     def moves(self) -> tuple[str, ...]:
         return tuple(move for move, _ in self.children)
 
-    def child(self, move: str) -> "Node":
-        for name, node in self.children:
+    def move_index(self, move: str) -> int:
+        for k, (name, _) in enumerate(self.children):
             if name == move:
-                return node
+                return k
         raise MissingBranchChoice(
             f"branch {self.id!r} has no move {move!r} (moves: {self.moves()})"
         )
+
+    def child(self, move: str) -> "Node":
+        return self.children[self.move_index(move)][1]
 
 
 @dataclass(frozen=True)
@@ -84,7 +95,7 @@ def chance(node_id: str, children: Iterable[tuple[float, Node]]) -> Chance:
 
 @dataclass(frozen=True, eq=False)
 class GameTree:
-    """A validated game tree.
+    """A validated game tree, compiled into preorder arrays.
 
     Validation happens at construction: node ids must be unique, chance
     probabilities and leaf emissions must be distributions, utility
@@ -94,8 +105,11 @@ class GameTree:
 
     players: tuple[str, ...]
     root: Node
-    nodes: dict[str, Node] = field(init=False, repr=False, compare=False)
     leaves: tuple[Leaf, ...] = field(init=False, repr=False, compare=False)
+    # position = preorder id; order[0] is the root
+    order: tuple[Node, ...] = field(init=False, repr=False, compare=False)
+    kids: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         players = tuple(str(p) for p in self.players)
@@ -104,9 +118,15 @@ class GameTree:
         if len(set(players)) != len(players):
             raise BadParameters("player names must be unique")
         object.__setattr__(self, "players", players)
-        nodes, leaves = _walk_and_validate(self.root, len(players))
-        object.__setattr__(self, "nodes", nodes)
+        order, kids, positions, leaves = _compile(self.root, len(players))
         object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "kids", kids)
+        object.__setattr__(self, "positions", positions)
+
+    @property
+    def nodes(self) -> dict[str, Node]:
+        return {node.id: node for node in self.order}
 
     @property
     def n(self) -> int:
@@ -120,14 +140,50 @@ class GameTree:
     def num_symbols(self) -> int:
         return len(self.leaves[0].emission)
 
+    def position(self, node_id: str) -> int:
+        if node_id not in self.positions:
+            raise UnknownNodeId(f"no node with id {node_id!r}")
+        return self.positions[node_id]
+
     def node(self, node_id: str) -> Node:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise UnknownNodeId(f"no node with id {node_id!r}") from None
+        return self.order[self.position(node_id)]
 
     def branch_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid, nd in self.nodes.items() if isinstance(nd, Branch))
+        return tuple(node.id for node in self.order if isinstance(node, Branch))
+
+    def resolve(self, profile: StrategyProfile) -> list[int]:
+        """The chosen child position of every branch, -1 at other nodes;
+        ids that name no branch are ignored (check_profile rejects them)."""
+        chosen = [-1] * len(self.order)
+        for v, node in enumerate(self.order):
+            if isinstance(node, Branch):
+                if node.id not in profile:
+                    raise MissingBranchChoice(f"profile has no move for branch {node.id!r}")
+                chosen[v] = self.kids[v][node.move_index(profile[node.id])]
+        return chosen
+
+    def reach(self, start: int, chosen, free=()) -> list[tuple[Leaf, float]]:
+        """Leaves reachable from position `start`, in leaf order, each with
+        the product of the chance probabilities on its path.  Branches of
+        players in `free` take every move, the others their `chosen` child;
+        chance nodes spread over their positive-probability children."""
+        order, kids = self.order, self.kids
+        out = []
+        todo = [(start, 1.0)]
+        while todo:
+            v, p = todo.pop()
+            node = order[v]
+            if isinstance(node, Leaf):
+                out.append((node, p))
+            elif isinstance(node, Chance):
+                for (q, _), c in zip(node.children[::-1], kids[v][::-1]):
+                    if q > 0:
+                        todo.append((c, p * q))
+            elif node.owner in free:
+                todo.extend((c, p) for c in kids[v][::-1])
+            else:
+                todo.append((chosen[v], p))
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, GameTree):
@@ -138,16 +194,23 @@ class GameTree:
         return hash((self.players, self.root))
 
 
-def _walk_and_validate(root: Node, n: int):
-    nodes: dict[str, Node] = {}
+def _compile(root: Node, n: int):
+    """Validate the tree and lay it out in preorder: (order, kids, positions, leaves)."""
+    order: list[Node] = []
+    kids: list[list[int]] = []
+    positions: dict[str, int] = {}
     leaves: list[Leaf] = []
     emission_len = None
-    stack = [root]
+    stack = [(root, -1)]
     while stack:
-        node = stack.pop()
-        if node.id in nodes:
+        node, parent = stack.pop()
+        if node.id in positions:
             raise DuplicateNodeId(f"node id {node.id!r} appears more than once")
-        nodes[node.id] = node
+        v = positions[node.id] = len(order)
+        order.append(node)
+        kids.append([])
+        if parent >= 0:
+            kids[parent].append(v)
         if isinstance(node, Leaf):
             if len(node.utilities) != n:
                 raise DimensionMismatch(
@@ -174,7 +237,8 @@ def _walk_and_validate(root: Node, n: int):
                 )
             object.__setattr__(node, "index", j)
             leaves.append(node)
-        elif isinstance(node, Branch):
+            continue
+        if isinstance(node, Branch):
             if not node.children:
                 raise ValidationError(f"branch {node.id!r} has no moves")
             if not 0 <= node.owner < n:
@@ -184,8 +248,6 @@ def _walk_and_validate(root: Node, n: int):
             moves = node.moves()
             if len(set(moves)) != len(moves):
                 raise ValidationError(f"branch {node.id!r} repeats a move name")
-            for _, child in reversed(node.children):
-                stack.append(child)
         elif isinstance(node, Chance):
             probs = [p for p, _ in node.children]
             if any(p < 0 for p in probs):
@@ -193,24 +255,10 @@ def _walk_and_validate(root: Node, n: int):
             total = sum(probs)
             if abs(total - 1.0) > PROB_TOL:
                 raise BadProbabilitySum(f"chance node {node.id!r} probabilities sum to {total!r}")
-            for _, child in reversed(node.children):
-                stack.append(child)
         else:
             raise ValidationError(f"unknown node type {type(node).__name__}")
-    return nodes, tuple(leaves)
-
-
-def validate_and_index(tree: GameTree):
-    """Re-derive leaf order and return (utility matrix, leaf id order).
-
-    The utility matrix U has one row per player and one column per leaf,
-    columns in depth-first left-to-right order.
-    """
-    _, leaves = _walk_and_validate(tree.root, tree.n)
-    u = np.array([lf.utilities for lf in leaves], dtype=np.float64).T
-    u = u.reshape(tree.n, len(leaves))
-    u.setflags(write=False)
-    return u, tuple(lf.id for lf in leaves)
+        stack.extend((child, v) for _, child in reversed(node.children))
+    return tuple(order), tuple(tuple(k) for k in kids), positions, tuple(leaves)
 
 
 def utility_matrix(tree: GameTree) -> np.ndarray:
@@ -223,61 +271,59 @@ def emission_stack(tree: GameTree) -> np.ndarray:
     return np.array([lf.emission for lf in tree.leaves], dtype=np.float64).T
 
 
-def check_profile(tree: GameTree, profile: StrategyProfile) -> None:
-    """Require one valid move for every branch, and no stray ids."""
-    branch_ids = set(tree.branch_ids())
+def check_profile(tree: GameTree, profile: StrategyProfile) -> list[int]:
+    """Require one valid move for every branch, and no stray ids;
+    returns the profile resolved by GameTree.resolve."""
     for nid in profile:
-        if nid not in branch_ids:
+        if nid not in tree.positions or not isinstance(tree.node(nid), Branch):
             raise UnknownNodeId(f"profile names {nid!r}, which is not a branch of this tree")
-    for nid in branch_ids:
-        if nid not in profile:
-            raise MissingBranchChoice(f"profile has no move for branch {nid!r}")
-        node = tree.nodes[nid]
-        node.child(profile[nid])  # raises MissingBranchChoice on a bad move
+    return tree.resolve(profile)
+
+
+def _fold(tree: GameTree, pick) -> np.ndarray:
+    """Value of the root, by one pass over reversed preorder.
+
+    A leaf is worth its utilities (a tuple until arithmetic needs an
+    array), a chance node the probability-weighted sum over its
+    positive-probability children, and the branch at position v the
+    value of the child position `pick(v, node, values)`."""
+    values: list = [None] * len(tree.order)
+    for v in range(len(tree.order) - 1, -1, -1):
+        node = tree.order[v]
+        if isinstance(node, Leaf):
+            values[v] = node.utilities
+        elif isinstance(node, Branch):
+            values[v] = values[pick(v, node, values)]
+        else:
+            acc = np.zeros(tree.n)
+            for (p, _), c in zip(node.children, tree.kids[v]):
+                if p > 0:
+                    acc += p * np.asarray(values[c], dtype=np.float64)
+            values[v] = acc
+    return np.asarray(values[0], dtype=np.float64)
 
 
 def expected_utilities(tree: GameTree, profile: StrategyProfile) -> np.ndarray:
     """Expected utility vector when every branch follows the profile."""
-
-    def value(node: Node) -> np.ndarray:
-        if isinstance(node, Leaf):
-            return np.asarray(node.utilities, dtype=np.float64)
-        if isinstance(node, Branch):
-            if node.id not in profile:
-                raise MissingBranchChoice(f"profile has no move for branch {node.id!r}")
-            return value(node.child(profile[node.id]))
-        acc = np.zeros(tree.n)
-        for p, child in node.children:
-            if p > 0:
-                acc += p * value(child)
-        return acc
-
-    return value(tree.root)
+    chosen = tree.resolve(profile)
+    return _fold(tree, lambda v, node, values: chosen[v])
 
 
 def backward_induction(tree: GameTree) -> dict[str, str]:
     """Subgame-perfect choices, ties resolved toward the leftmost child."""
-    choices: dict[str, str] = {}
+    best_move: dict[int, str] = {}
 
-    def value(node: Node) -> np.ndarray:
-        if isinstance(node, Leaf):
-            return np.asarray(node.utilities, dtype=np.float64)
-        if isinstance(node, Chance):
-            acc = np.zeros(tree.n)
-            for p, child in node.children:
-                if p > 0:
-                    acc += p * value(child)
-            return acc
-        best_move, best = node.children[0][0], value(node.children[0][1])
-        for move, child in node.children[1:]:
-            v = value(child)
-            if v[node.owner] > best[node.owner]:
-                best_move, best = move, v
-        choices[node.id] = best_move
-        return best
+    def pick(v, node, values):
+        owner, kids = node.owner, tree.kids[v]
+        best = 0
+        for k in range(1, len(kids)):
+            if values[kids[k]][owner] > values[kids[best]][owner]:
+                best = k
+        best_move[v] = node.children[best][0]
+        return kids[best]
 
-    value(tree.root)
-    return choices
+    _fold(tree, pick)
+    return {tree.order[v].id: best_move[v] for v in sorted(best_move)}
 
 
 def honest_outcome(tree: GameTree, root_id: str, profile: StrategyProfile):
@@ -288,37 +334,15 @@ def honest_outcome(tree: GameTree, root_id: str, profile: StrategyProfile):
     where w is a length-m weight vector over leaves (summing to 1) and
     u = U @ w.
     """
-    start = tree.node(root_id)
+    start = tree.position(root_id)
     w = np.zeros(tree.m)
     u = np.zeros(tree.n)
-
-    def walk(node: Node, p: float):
-        nonlocal u
-        if isinstance(node, Leaf):
-            w[node.index] += p
-            u = u + p * np.asarray(node.utilities, dtype=np.float64)
-            return
-        if isinstance(node, Branch):
-            if node.id not in profile:
-                raise MissingBranchChoice(f"profile has no move for branch {node.id!r}")
-            walk(node.child(profile[node.id]), p)
-            return
-        for q, child in node.children:
-            if q > 0:
-                walk(child, p * q)
-
-    walk(start, 1.0)
+    for lf, p in tree.reach(start, tree.resolve(profile)):
+        w[lf.index] += p
+        u = u + p * np.asarray(lf.utilities, dtype=np.float64)
     return w, u
 
 
 def subgame_ids(tree: GameTree) -> tuple[str, ...]:
     """All node ids in depth-first preorder; each roots a subgame."""
-    out = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        out.append(node.id)
-        if isinstance(node, (Branch, Chance)):
-            for _, child in reversed(node.children):
-                stack.append(child)
-    return tuple(out)
+    return tuple(node.id for node in tree.order)

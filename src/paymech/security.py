@@ -5,35 +5,26 @@ most t, every leaf that C can force (others on-profile) outside the
 support of the on-profile continuation, and every member i of C, the
 member's expected on-profile utility beats the leaf by at least delta.
 
-Each such requirement is one linear row over vec(E) (row-major, player
-blocks of m leaf entries): +w_a on the support leaves of the subgame,
--1 on the deviation leaf, right-hand side delta.  Support weights are
-fractional exactly when chance nodes sit on the on-profile path.
-Duplicate coefficient patterns are dropped, keeping the metadata of the
-first occurrence; generation order is preorder over subgames, then
-coalition size, then coalition, then member, then leaf, so the row
-order is deterministic.
+Each such requirement is one row on member i's row of E = U - Lambda @
+Phi alone, stored as (i, m-vector of leaf coefficients): +w_a on the
+support leaves of the subgame (fractional exactly when chance nodes sit
+on the on-profile path), -1 on the deviation leaf, right-hand side
+delta.  Rows are deduplicated on (player, support, weights, leaf),
+keeping the metadata of the first occurrence; generation order is
+preorder over subgames, then coalition size, then coalition, then
+member, then leaf, so the row order is deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .errors import BadParameters, DimensionMismatch, MissingBranchChoice
-from .game_core import (
-    Branch,
-    Chance,
-    GameTree,
-    Leaf,
-    StrategyProfile,
-    honest_outcome,
-    subgame_ids,
-    utility_matrix,
-)
+from .errors import BadParameters, DimensionMismatch
+from .game_core import GameTree, StrategyProfile, utility_matrix
 from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
 
 SLACK_TOL = 1e-9
@@ -65,9 +56,11 @@ class ConstraintRow:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Rows A over vec(E) with A @ vec(E) >= rhs required."""
+    """Rows with coef[r] @ E[player[r]] >= rhs[r] required; callers
+    use `dot`, `lift` or the dense view `a`, not this layout."""
 
-    a: np.ndarray
+    player: np.ndarray  # (alpha,) ints
+    coef: np.ndarray  # (alpha, m)
     rhs: np.ndarray
     rows: tuple[ConstraintRow, ...]
     n: int
@@ -77,7 +70,29 @@ class ConstraintSystem:
 
     @property
     def alpha(self) -> int:
-        return self.a.shape[0]
+        return len(self.rows)
+
+    def dot(self, x) -> np.ndarray:
+        """Every row applied to x of shape (n, m), one value per row."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n, self.m):
+            raise DimensionMismatch(f"expected a {self.n}x{self.m} matrix, got {x.shape}")
+        return (self.coef @ x.T)[np.arange(self.alpha), self.player]
+
+    def lift(self, phi) -> np.ndarray:
+        """The rows over vec(Lambda) (row-major, player blocks of s
+        symbols), given that E depends on Lambda through Lambda @ phi."""
+        return self._blocks(self.coef @ np.asarray(phi, dtype=np.float64).T)
+
+    @property
+    def a(self) -> np.ndarray:
+        """The rows as a dense (alpha, n*m) matrix over vec(E), row-major."""
+        return self._blocks(self.coef)
+
+    def _blocks(self, per_row: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.alpha, self.n, per_row.shape[1]))
+        out[np.arange(self.alpha), self.player] = per_row
+        return out.reshape(self.alpha, -1)
 
 
 def inducible_leaves(
@@ -92,25 +107,8 @@ def inducible_leaves(
     members = frozenset(int(i) for i in coalition)
     if any(i < 0 or i >= tree.n for i in members):
         raise BadParameters(f"coalition {sorted(members)} out of range for {tree.n} players")
-    found: set[int] = set()
-    stack = [tree.node(root_id)]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            found.add(node.index)
-        elif isinstance(node, Branch):
-            if node.owner in members:
-                for _, child in node.children:
-                    stack.append(child)
-            else:
-                if node.id not in profile:
-                    raise MissingBranchChoice(f"profile has no move for branch {node.id!r}")
-                stack.append(node.child(profile[node.id]))
-        else:
-            for p, child in node.children:
-                if p > 0:
-                    stack.append(child)
-    return frozenset(found)
+    start = tree.position(root_id)
+    return frozenset(lf.index for lf, _ in tree.reach(start, tree.resolve(profile), members))
 
 
 def build_constraints(
@@ -119,37 +117,38 @@ def build_constraints(
     n, m = tree.n, tree.m
     if params.t > n:
         raise BadParameters(f"coalition bound t={params.t} exceeds {n} players")
-    seen: dict[tuple, None] = {}
-    coeff_rows: list[np.ndarray] = []
+    chosen = tree.resolve(profile)
+    coalitions = [c for size in range(1, params.t + 1) for c in combinations(range(n), size)]
+    # numbers the distinct honest outcomes (support leaves, their weights)
+    supports: dict[tuple, int] = {}
+    seen: set[tuple[int, int, int]] = set()
     metadata: list[ConstraintRow] = []
-    for root_id in subgame_ids(tree):
-        w, _ = honest_outcome(tree, root_id, profile)
-        support = [int(j) for j in np.nonzero(w > 0)[0]]
-        support_set = set(support)
-        for size in range(1, params.t + 1):
-            for coalition in combinations(range(n), size):
-                reachable = inducible_leaves(tree, root_id, coalition, profile)
-                targets = sorted(reachable - support_set)
-                if not targets:
-                    continue
-                for i in coalition:
-                    base = i * m
-                    for j in targets:
-                        row = np.zeros(n * m)
-                        for a in support:
-                            row[base + a] += w[a]
-                        row[base + j] -= 1.0
-                        key = tuple(zip(*np.nonzero(row), row[np.nonzero(row)]))
-                        if key in seen:
-                            continue
-                        seen[key] = None
-                        coeff_rows.append(row)
-                        metadata.append(ConstraintRow(root_id, coalition, i, j))
-    a = np.array(coeff_rows).reshape(len(coeff_rows), n * m)
-    rhs = np.full(len(coeff_rows), float(params.delta))
-    a.setflags(write=False)
-    rhs.setflags(write=False)
-    return ConstraintSystem(a, rhs, tuple(metadata), n, m, float(params.delta), params.t)
+    row_support: list[tuple] = []
+    for v, root in enumerate(tree.order):
+        honest = [(lf.index, p) for lf, p in tree.reach(v, chosen) if p > 0]
+        support = tuple(j for j, _ in honest)
+        outcome = (support, tuple(p for _, p in honest))
+        sid = supports.setdefault(outcome, len(supports))
+        for coalition in coalitions:
+            reachable = {lf.index for lf, _ in tree.reach(v, chosen, coalition)}
+            targets = sorted(reachable.difference(support))
+            for i in coalition:
+                for j in targets:
+                    if (i, sid, j) in seen:
+                        continue
+                    seen.add((i, sid, j))
+                    metadata.append(ConstraintRow(root.id, coalition, i, j))
+                    row_support.append(outcome)
+    alpha = len(metadata)
+    coef = np.zeros((alpha, m))
+    for r, (support, weights) in enumerate(row_support):
+        coef[r, list(support)] = weights
+    coef[np.arange(alpha), [row.leaf for row in metadata]] = -1.0
+    player = np.array([row.deviator for row in metadata], dtype=np.intp)
+    rhs = np.full(alpha, float(params.delta))
+    for arr in (player, coef, rhs):
+        arr.setflags(write=False)
+    return ConstraintSystem(player, coef, rhs, tuple(metadata), n, m, float(params.delta), params.t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,19 +176,10 @@ def verify(
     system = build_constraints(tree, profile, params)
     u = utility_matrix(tree)
     e = implemented_utilities(u, scheme, info)
-    slacks = system.a @ e.ravel() - system.rhs
+    slacks = system.dot(e) - system.rhs
     slacks.setflags(write=False)
     violations = tuple(
         (row, float(s)) for row, s in zip(system.rows, slacks) if s < -SLACK_TOL
     )
     return VerifyReport(not violations, slacks, violations, system)
 
-
-def lifting_matrix(info: InfoStructure, n: int) -> np.ndarray:
-    """R with vec(Lambda @ Phi) = R @ vec(Lambda), both vecs row-major.
-
-    Block diagonal: one Phi-transpose block per player.
-    """
-    if n < 1:
-        raise BadParameters(f"need at least one player, got {n}")
-    return np.kron(np.eye(n), info.phi.T)

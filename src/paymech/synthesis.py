@@ -23,7 +23,7 @@ from .errors import (
 )
 from .game_core import GameTree, StrategyProfile, check_profile, honest_outcome, utility_matrix
 from .info_structure import InfoStructure, PaymentScheme
-from .security import SecurityParams, build_constraints, lifting_matrix, verify
+from .security import SecurityParams, build_constraints, verify
 from .simplex import LinearProgram, solve
 
 OBJ_WEIGHTED = "weighted_cost"
@@ -100,11 +100,10 @@ def synthesize(
     eq_blocks, eq_rhs_blocks = [], []
 
     if system.alpha:
-        lifted = system.a @ lifting_matrix(info, n)  # (alpha, n*s)
         sec = np.zeros((system.alpha, nv))
-        sec[:, : n * s] = -lifted
+        sec[:, : n * s] = -system.lift(info.phi)
         g_blocks.append(sec)
-        h_blocks.append(system.rhs - system.a @ u.ravel())
+        h_blocks.append(system.rhs - system.dot(u))
 
     colsum = np.zeros((s, nv))
     colsum[:, : n * s] = np.tile(np.eye(s), (1, n))

@@ -212,6 +212,23 @@ def test_bad_inputs_exit_2(tmp_path):
     assert code == 2  # violates x > x_prime
 
 
+def test_deep_document_exits_2(tmp_path):
+    depth = 1500
+    head = "".join(
+        f'{{"branch": {{"id": "b{d}", "owner": {d % 2}, "children": {{'
+        f'"stop": {{"leaf": {{"id": "s{d}", "utilities": [1, 0], "emission": [1]}}}}, "go": '
+        for d in range(depth)
+    )
+    end = '{"leaf": {"id": "end", "utilities": [0, 0], "emission": [1]}}'
+    doc = ('{"players": ["A", "B"], "alphabet": ["x"], "intended": {}, "tree": '
+           + head + end + "}}}" * depth + "}")
+    path = tmp_path / "deep.json"
+    path.write_text(doc)
+    code, out, err = run(["spe", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: document nests too deeply\n"
+
+
 def test_help_exits_zero():
     code, _, _ = run(["--help"])
     assert code == 0

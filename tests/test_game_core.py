@@ -5,6 +5,14 @@ import pytest
 
 from paymech import (
     BadProbabilitySum,
+    ConstraintRow,
+    InfoStructure,
+    PaymentScheme,
+    SecurityParams,
+    build_constraints,
+    inducible_leaves,
+    monte_carlo,
+    verify,
     DimensionMismatch,
     DuplicateNodeId,
     GameTree,
@@ -183,3 +191,79 @@ def test_random_profiles_reach_exactly_one_leaf_without_chance():
         w, _ = honest_outcome(tree, "root", profile)
         assert np.count_nonzero(w) == 1
         assert w.sum() == pytest.approx(1.0)
+
+
+def test_deep_chain_analyses_match_plain_loops():
+    # level d: branch b{d} of player d % 2 either stops at leaf s{d} (leaf
+    # index d) or goes on; the last "go" reaches leaf "end" (index depth)
+    depth = 1500
+    owner = [d % 2 for d in range(depth)]
+    stop_u = [(2.0 + d % 3, -float(d % 2)) if owner[d] == 0 else (-float(d % 2), 2.0 + d % 3)
+              for d in range(depth)]
+    util = stop_u + [(0.0, 0.0)]
+    node = leaf("end", util[depth], (0.5, 0.5))
+    for d in reversed(range(depth)):
+        node = branch(f"b{d}", owner[d], [("stop", leaf(f"s{d}", util[d], (1.0, 0.0))),
+                                           ("go", node)])
+    tree = GameTree(("A", "B"), node)
+    info = InfoStructure.from_tree(tree, ("x", "y"))
+    zero = PaymentScheme(np.zeros((2, 2)))
+
+    # plain loops over the chain
+    spe, value = {}, util[depth]
+    for d in reversed(range(depth)):
+        if value[owner[d]] > util[d][owner[d]]:
+            spe[f"b{d}"] = "go"
+        else:
+            spe[f"b{d}"], value = "stop", util[d]
+
+    def outcome(d, profile):
+        while d < depth and profile[f"b{d}"] == "go":
+            d += 1
+        return d
+
+    def reachable(d, player, profile):
+        found = set()
+        for k in range(d, depth):
+            if owner[k] == player:
+                found.add(k)
+            elif profile[f"b{k}"] == "stop":
+                found.add(k)
+                return found
+        return found | {depth}
+
+    assert backward_induction(tree) == spe
+    np.testing.assert_array_equal(expected_utilities(tree, spe), value)
+    assert subgame_ids(tree) == tuple(
+        [nid for d in range(depth) for nid in (f"b{d}", f"s{d}")] + ["end"]
+    )
+    go_all = {f"b{d}": "go" for d in range(depth)}
+    for profile in (spe, go_all):
+        for d in (0, 700, depth - 1):
+            w, u = honest_outcome(tree, f"b{d}", profile)
+            j = outcome(d, profile)
+            assert np.flatnonzero(w).tolist() == [j] and w[j] == 1.0
+            np.testing.assert_array_equal(u, util[j])
+            for player in (0, 1):
+                assert inducible_leaves(tree, f"b{d}", [player], profile) == frozenset(
+                    reachable(d, player, profile)
+                )
+
+    expected_rows = []
+    for d in range(depth):
+        honest = outcome(d, spe)
+        for player in (0, 1):
+            for j in sorted(reachable(d, player, spe) - {honest}):
+                expected_rows.append((ConstraintRow(f"b{d}", (player,), player, j), honest))
+    system = build_constraints(tree, spe, SecurityParams(delta=0.0))
+    assert list(system.rows) == [row for row, _ in expected_rows]
+    report = verify(tree, info, zero, spe, SecurityParams(delta=0.0))
+    slacks = [util[h][row.deviator] - util[row.leaf][row.deviator] for row, h in expected_rows]
+    np.testing.assert_array_equal(report.slacks, slacks)
+    assert report.passed
+
+    for profile in (spe, go_all):
+        j = outcome(0, profile)
+        result = monte_carlo(tree, info, zero, profile, trials=100, seed=5)
+        np.testing.assert_array_equal(result.mean_utilities, util[j])
+        np.testing.assert_array_equal(result.std_errors, [0.0, 0.0])

@@ -1,4 +1,4 @@
-"""Constraint generation, verification, and the lifting map."""
+"""Constraint generation, verification, and the block form of the rows."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from paymech import (
     backward_induction,
     build_constraints,
     inducible_leaves,
-    lifting_matrix,
     utility_matrix,
     verify,
 )
@@ -103,14 +102,22 @@ def test_verify_slack_tolerance_is_tight(commerce):
     assert not report2.passed
 
 
-def test_lifting_matrix_linearizes_the_scheme_product():
+def test_block_rows_match_the_dense_matrix():
+    # the kron lifting of the dense rows is the reference for lift
     rng = np.random.default_rng(37)
-    for _ in range(20):
-        tree, info, _ = random_instance(rng, num_symbols=int(rng.integers(2, 5)))
-        n = tree.n
-        lam = rng.normal(size=(n, info.s))
-        r = lifting_matrix(info, n)
-        np.testing.assert_allclose(r @ lam.ravel(), (lam @ info.phi).ravel(), atol=1e-12)
+    for trial in range(30):
+        n = 3 if trial % 3 == 0 else 2
+        tree, info, profile = random_instance(
+            rng, n_players=n, num_symbols=int(rng.integers(2, 5)), max_nodes=16
+        )
+        system = build_constraints(tree, profile, SecurityParams(delta=0.5, t=2 if n == 3 else 1))
+        a = system.a
+        assert a.shape == (system.alpha, n * tree.m)
+        np.testing.assert_allclose(
+            system.lift(info.phi), a @ np.kron(np.eye(n), info.phi.T), atol=1e-12
+        )
+        x = rng.normal(size=(n, tree.m))
+        np.testing.assert_allclose(system.dot(x), a @ x.ravel(), atol=1e-12)
 
 
 def test_coalitions_only_add_constraints():
