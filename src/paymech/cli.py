@@ -390,6 +390,9 @@ def dispatch(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     except RecursionError:
         stderr.write("error: document nests too deeply\n")
         return 2
+    except MemoryError:
+        stderr.write("error: out of memory\n")
+        return 3
 
 
 def main() -> None:

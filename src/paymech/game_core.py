@@ -185,13 +185,23 @@ class GameTree:
                 todo.append((chosen[v], p))
         return out
 
+    def _flat(self):
+        """Players, child positions and each node's own fields: equal exactly
+        when the nested trees are, and compared without recursion."""
+        own = tuple(
+            node if isinstance(node, Leaf)
+            else (type(node), node.id, getattr(node, "owner", -1), tuple(k for k, _ in node.children))
+            for node in self.order
+        )
+        return self.players, self.kids, own
+
     def __eq__(self, other):
         if not isinstance(other, GameTree):
             return NotImplemented
-        return self.players == other.players and self.root == other.root
+        return self._flat() == other._flat()
 
     def __hash__(self):
-        return hash((self.players, self.root))
+        return hash(self._flat())
 
 
 def _compile(root: Node, n: int):

@@ -1,16 +1,22 @@
 """Dense two-phase simplex for small linear programs.
 
 Problem form: minimize c.x subject to G x >= h and A x = b, with every
-variable free.  Free variables are split into differences of nonnegative
-parts, inequalities get surplus variables, and phase one drives a full
-set of artificial variables to zero.  Pivoting uses Bland's rule, so the
-method terminates without cycling; this is meant for the small dense
-systems produced elsewhere in the package, not for large-scale work.
+variable free.  The solver works on the dual in standard form,
+maximize h'.y subject to G'^T y = c, y >= 0, where G' stacks G, A and -A
+(each equality as two opposite inequalities).  Its tableau has one row
+per primal variable however many inequality rows there are, which suits
+the synthesis programs: few free variables, many rows.  Phase one drives
+one artificial per row to zero; no dual point means the primal is
+unbounded or infeasible, and an unbounded phase two means it is
+infeasible.  The primal point and both sets of multipliers are solved
+from the one final basis.  Pivoting uses Bland's rule, so the method
+terminates without cycling; this is meant for the small dense systems
+produced elsewhere in the package, not for large-scale work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,106 +138,63 @@ def _run(tableau, basis, enterable, max_iter):
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve the program; outcome status is one of optimal, infeasible, unbounded."""
-    d = lp.num_vars
-    p = lp.g.shape[0]
-    q = lp.a_eq.shape[0]
-    nrows = p + q
-    nstruct = 2 * d + p
+    d, p, q = lp.num_vars, lp.g.shape[0], lp.a_eq.shape[0]
+    g_all = np.vstack([lp.g, lp.a_eq, -lp.a_eq])
+    h_all = np.concatenate([lp.h, lp.b_eq, -lp.b_eq])
+    m = g_all.shape[0]
+    # dual rows g_all^T y = c, one per primal variable, signed so the rhs is >= 0
+    signs = np.where(lp.c < 0, -1.0, 1.0)
+    a0 = np.hstack([g_all.T * signs[:, None], np.eye(d)])  # real columns, then artificials
+    b0 = lp.c * signs
 
-    rows = np.vstack([lp.g, lp.a_eq]) if nrows else np.zeros((0, d))
-    rhs = np.concatenate([lp.h, lp.b_eq])
-    # structural columns: positive parts, negative parts, surplus
-    a0 = np.zeros((nrows, nstruct))
-    a0[:, :d] = rows
-    a0[:, d : 2 * d] = -rows
-    for r in range(p):
-        a0[r, 2 * d + r] = -1.0
-    signs = np.where(rhs < 0, -1.0, 1.0)
-    a0 *= signs[:, None]
-    b0 = rhs * signs
-
-    ncols = nstruct + nrows
-    tableau = np.zeros((nrows + 1, ncols + 1))
-    tableau[:nrows, :nstruct] = a0
-    tableau[:nrows, -1] = b0
-    for r in range(nrows):
-        tableau[r, nstruct + r] = 1.0
-    basis = [nstruct + r for r in range(nrows)]
+    tableau = np.zeros((d + 1, m + d + 1))
+    tableau[:d, :-1] = a0
+    tableau[:d, -1] = b0
+    basis = list(range(m, m + d))
     # canonical phase-one objective: minimize the artificial total
-    tableau[-1, :] = 0.0
-    for r in range(nrows):
-        tableau[-1, :] -= tableau[r, :]
-    tableau[-1, nstruct:ncols] = 0.0
-
-    enterable = np.ones(ncols, dtype=bool)
-    enterable[nstruct:] = False  # artificials never enter
-    max_iter = 2000 + 200 * (nrows + ncols)
+    tableau[-1, :] = -tableau[:d].sum(axis=0)
+    tableau[-1, m:-1] = 0.0
+    enterable = np.arange(m + d) < m  # artificials never enter
+    max_iter = 2000 + 200 * (d + m + d)
     _run(tableau, basis, enterable, max_iter)
 
-    feas_scale = 1.0 + (np.abs(b0).max() if b0.size else 0.0)
-    if -tableau[-1, -1] > FEAS_TOL * feas_scale:
-        return LpOutcome("infeasible")
+    if -tableau[-1, -1] > FEAS_TOL * (1.0 + np.abs(b0).max(initial=0.0)):
+        # no dual point: the primal is unbounded or infeasible, and with
+        # c = 0 the dual is feasible (y = 0), so that program tells which
+        feasible = solve(replace(lp, c=np.zeros(d))).is_optimal
+        return LpOutcome("unbounded" if feasible else "infeasible")
 
-    # clear leftover artificials from the basis; drop rows with no pivot
-    keep = list(range(nrows))
-    for r in range(nrows):
-        if basis[r] >= nstruct:
-            piv_col = -1
-            for j in range(nstruct):
-                if abs(tableau[r, j]) > PIVOT_ELIGIBLE:
-                    piv_col = j
-                    break
-            if piv_col >= 0:
-                _pivot(tableau, r, piv_col)
-                basis[r] = piv_col
-            else:
-                keep.remove(r)
-    if len(keep) < nrows:
-        rows_idx = keep + [nrows]
-        tableau = tableau[rows_idx]
-        basis = [basis[r] for r in keep]
-    tableau = np.hstack([tableau[:, :nstruct], tableau[:, -1:]])
+    # an artificial left basic sits at zero; pivot it out where a real
+    # column can take its row, else its row is zero in every real column
+    for r in range(d):
+        if basis[r] >= m:
+            row = np.abs(tableau[r, :m])
+            if row.max(initial=0.0) > PIVOT_ELIGIBLE:
+                basis[r] = int(row.argmax())
+                _pivot(tableau, r, basis[r])
 
-    c_struct = np.concatenate([lp.c, -lp.c, np.zeros(p)])
-    tableau[-1, :-1] = c_struct
+    cost = np.concatenate([-h_all, np.zeros(d)])  # maximize h_all.y
+    tableau[-1, :-1] = cost
     tableau[-1, -1] = 0.0
     for r, b in enumerate(basis):
-        if c_struct[b] != 0.0:
-            tableau[-1, :] -= c_struct[b] * tableau[r, :]
+        if cost[b] != 0.0:
+            tableau[-1, :] -= cost[b] * tableau[r, :]
+    if _run(tableau, basis, enterable, max_iter) == "unbounded":
+        return LpOutcome("infeasible")  # an unbounded dual ray
 
-    enterable = np.ones(nstruct, dtype=bool)
-    status = _run(tableau, basis, enterable, max_iter)
-    if status == "unbounded":
-        return LpOutcome("unbounded")
-
-    x_struct = np.zeros(nstruct)
-    for r, b in enumerate(basis):
-        x_struct[b] = tableau[r, -1]
-    x = x_struct[:d] - x_struct[d : 2 * d]
+    # y and x from the final basis itself: tableau reads carry pivot drift
+    bmat = a0[:, basis]
+    y = np.zeros(m + d)
+    try:
+        y[basis] = np.linalg.solve(bmat, b0)
+        x = -signs * np.linalg.solve(bmat.T, cost[basis])
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown("final basis is singular") from None
     value = float(lp.c @ x)
 
-    recheck = 1e-7 * (1.0 + (np.abs(rhs).max() if rhs.size else 0.0))
+    recheck = 1e-7 * (1.0 + np.abs(h_all).max(initial=0.0))
     if p and np.any(lp.g @ x - lp.h < -recheck):
         raise NumericalBreakdown("optimal basis violates an inequality on recheck")
     if q and np.any(np.abs(lp.a_eq @ x - lp.b_eq) > recheck):
         raise NumericalBreakdown("optimal basis violates an equality on recheck")
-
-    dual_ineq, dual_eq = _duals(lp, a0, c_struct, keep, basis, p, q)
-    return LpOutcome("optimal", x, value, dual_ineq, dual_eq)
-
-
-def _duals(lp, a0, c_struct, keep, basis, p, q):
-    """Multipliers from the optimal basis, mapped back to the input rows."""
-    if not basis:
-        y = np.zeros(0)
-    else:
-        try:
-            bmat = a0[keep][:, basis]
-            y = np.linalg.solve(bmat.T, c_struct[list(basis)])
-        except np.linalg.LinAlgError:
-            return None, None
-    signs = np.where(np.concatenate([lp.h, lp.b_eq]) < 0, -1.0, 1.0)
-    full = np.zeros(p + q)
-    full[keep] = y
-    full *= signs  # undo the row scaling
-    return full[:p].copy(), full[p:].copy()
+    return LpOutcome("optimal", x, value, y[:p], y[p : p + q] - y[p + q : m])

@@ -201,13 +201,21 @@ def test_deep_chain_analyses_match_plain_loops():
     stop_u = [(2.0 + d % 3, -float(d % 2)) if owner[d] == 0 else (-float(d % 2), 2.0 + d % 3)
               for d in range(depth)]
     util = stop_u + [(0.0, 0.0)]
-    node = leaf("end", util[depth], (0.5, 0.5))
-    for d in reversed(range(depth)):
-        node = branch(f"b{d}", owner[d], [("stop", leaf(f"s{d}", util[d], (1.0, 0.0))),
-                                           ("go", node)])
-    tree = GameTree(("A", "B"), node)
+
+    def chain(end_utilities):
+        node = leaf("end", end_utilities, (0.5, 0.5))
+        for d in reversed(range(depth)):
+            node = branch(f"b{d}", owner[d], [("stop", leaf(f"s{d}", util[d], (1.0, 0.0))),
+                                               ("go", node)])
+        return GameTree(("A", "B"), node)
+
+    tree = chain(util[depth])
     info = InfoStructure.from_tree(tree, ("x", "y"))
     zero = PaymentScheme(np.zeros((2, 2)))
+
+    twin = chain(util[depth])
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree != chain((0.0, 1.0))
 
     # plain loops over the chain
     spe, value = {}, util[depth]

@@ -21,6 +21,13 @@ def test_infeasible():
     assert out.x is None
 
 
+def test_infeasible_on_both_sides():
+    # x1 >= 1 and x1 <= 0; the dual of min -x2 has no point either
+    out = solve(LinearProgram(c=[0.0, -1.0], g=[[1.0, 0.0], [-1.0, 0.0]], h=[1.0, 0.0]))
+    assert out.status == "infeasible"
+    assert out.x is None
+
+
 def test_unbounded():
     out = solve(LinearProgram(c=[-1.0], g=[[1.0]], h=[0.0]))
     assert out.status == "unbounded"
@@ -57,6 +64,19 @@ def test_redundant_rows_do_not_confuse():
     assert out.is_optimal
     assert out.value == pytest.approx(2.0)  # all weight on the cheap variable
     np.testing.assert_allclose(out.x, [2.0, 0.0], atol=1e-9)
+
+
+def test_rank_deficient_duplicated_equalities():
+    # every row is a multiple of x1 + x2, so the constraint matrix has rank 1
+    lp = LinearProgram(c=[1.0, 1.0], g=[[1.0, 1.0]], h=[1.0],
+                       a_eq=[[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 2.0, 4.0])
+    out = solve(lp)
+    assert out.is_optimal
+    assert out.value == pytest.approx(2.0)
+    assert out.x.sum() == pytest.approx(2.0)
+    assert np.all(out.dual_ineq >= -1e-9)
+    np.testing.assert_allclose(lp.g.T @ out.dual_ineq + lp.a_eq.T @ out.dual_eq, lp.c, atol=1e-9)
+    assert lp.h @ out.dual_ineq + lp.b_eq @ out.dual_eq == pytest.approx(out.value)
 
 
 def test_no_constraints_zero_objective():

@@ -25,7 +25,7 @@ from paymech import (
 )
 from paymech.synthesis import HONEST_EXPECTED, OBJ_MINMAX, OBJ_WEIGHTED
 
-from .helpers import solvable_instance
+from .helpers import random_instance, solvable_instance
 
 
 def greedy_two_leaf():
@@ -148,3 +148,28 @@ def test_minmax_value_nondecreasing_in_delta():
             scheme = synthesize(tree, info, profile, SecurityParams(delta=delta))
             values.append(scheme.matrix.max())
         assert all(a <= b + 1e-7 for a, b in zip(values, values[1:])), values
+
+
+SWEEP_SHAPES = ((2, 3, 12, True), (2, 8, 60, True), (3, 4, 30, True), (2, 6, 100, False))
+
+
+@pytest.mark.parametrize("seed, draw, t, delta, optimum", [
+    (109, 4, 2, 0.0, 7.360222777119452),
+    (128, 2, 1, 1.0, 4.5),
+    (142, 2, 2, 1.0, None),
+    (49, 2, 2, 1.0, 445.55431668640085),
+    (55, 4, 2, 1.0, 77.1191805129405),
+])
+def test_degenerate_programs_match_reference_lp(seed, draw, t, delta, optimum):
+    # optima (None: infeasible) from bench/oracle.solve_program, a revised
+    # simplex that returns each answer only with a checked certificate
+    rng = np.random.default_rng(10000 + seed)
+    tree, info, profile = [random_instance(rng, *shape) for shape in SWEEP_SHAPES][draw - 1]
+    params = SecurityParams(delta=delta, t=t)
+    if optimum is None:
+        with pytest.raises(Infeasible):
+            synthesize(tree, info, profile, params)
+        return
+    scheme = synthesize(tree, info, profile, params)
+    assert scheme.matrix.max() == pytest.approx(optimum, rel=1e-6)
+    assert verify(tree, info, scheme, profile, params).passed
