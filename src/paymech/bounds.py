@@ -53,8 +53,9 @@ def constraint_utility_product(system: ConstraintSystem, u: np.ndarray) -> np.nd
     """The alpha x n matrix pairing each constraint row with each player's
     utility row: entry (r, i) applies row r's per-leaf coefficients for
     player i to that player's utilities.  Its 2-norm drives the bound."""
-    only = [np.where(np.arange(system.n)[:, None] == i, u, 0.0) for i in range(system.n)]
-    return np.column_stack([system.dot(x) for x in only])
+    out = np.zeros((system.alpha, system.n))
+    out[np.arange(system.alpha), system.player] = system.dot(u)
+    return out
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameters
-from .game_core import GameTree, branch, chance, leaf
-from .info_structure import InfoStructure, PaymentScheme
+from .game_core import GameTree, branch, chance, leaf, utility_matrix
+from .info_structure import InfoStructure, PaymentScheme, scheme_diagnostics
 
 
 @dataclass(frozen=True)
@@ -234,13 +234,8 @@ def build_pvc(params: PvcParams, collapse: bool = True) -> PvcInstance:
     collapsed_tree = _pvc_tree(params, collapse=True)
     collapsed_info = InfoStructure.from_tree(collapsed_tree, alphabet)
 
+    u = utility_matrix(collapsed_tree)
     m = 2 * n + 1
-    u = np.zeros((n, m))
-    for i in range(1, n + 1):
-        u[:, 2 * i - 1] = (1 - eps) * um
-        u[i - 1, 2 * i - 1] = (1 - eps) * params.u_plus[i - 1]
-    u[:, m - 1] = 1.0
-
     target_e = np.zeros((n, m))
     target_e[:, m - 1] = 1.0
     for i in range(1, n + 1):
@@ -249,7 +244,7 @@ def build_pvc(params: PvcParams, collapse: bool = True) -> PvcInstance:
 
     lam = np.linalg.solve(collapsed_info.phi.T, (u - target_e).T).T
     scheme = PaymentScheme(lam)
-    column_sums = lam.sum(axis=0)
+    diagnostics = scheme_diagnostics(scheme)
 
     base = np.array([params.u_plus[i] + (n - 1) * um for i in range(n)])
     exact = float(np.max(-(1 - eps) * base))
@@ -271,8 +266,8 @@ def build_pvc(params: PvcParams, collapse: bool = True) -> PvcInstance:
         scheme=scheme,
         collapsed=collapse,
         achieved_margin=1.0 + delta,
-        column_sums=column_sums,
-        self_contained=bool(np.all(column_sums >= -1e-9)),
+        column_sums=diagnostics.column_sums,
+        self_contained=diagnostics.self_contained,
         self_containment_threshold=exact,
         conservative_threshold=conservative,
     )

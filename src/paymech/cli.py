@@ -10,6 +10,7 @@ A GAME or SCHEME argument of "-" reads the document from stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -269,6 +270,7 @@ def _add_security(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=int, default=1, help="maximum coalition size (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paymech",
@@ -289,32 +291,27 @@ def build_parser() -> argparse.ArgumentParser:
                    default=HONEST_PER_LEAF,
                    help="honest invariance per support leaf, or in expectation")
     _add_output(p)
-    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("verify", help="check a scheme against the deviation constraints")
     p.add_argument("game")
     p.add_argument("scheme", help="scheme document path, or - for stdin")
     _add_security(p)
     _add_output(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("implement", help="solve for a scheme hitting target utilities exactly")
     p.add_argument("game")
     p.add_argument("--target", required=True,
                    help="JSON file with a 'target_e' matrix (players x leaves)")
     _add_output(p)
-    p.set_defaults(func=_cmd_implement)
 
     p = sub.add_parser("bound", help="report deposit lower bounds for the game")
     p.add_argument("game")
     _add_security(p)
     _add_output(p)
-    p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("spe", help="backward-induction profile of the raw game")
     p.add_argument("game")
     _add_output(p)
-    p.set_defaults(func=_cmd_spe)
 
     p = sub.add_parser("simulate", help="Monte Carlo episodes of the escrow loop")
     p.add_argument("game")
@@ -323,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     _add_output(p)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("gen", help="generate built-in games and schemes")
     gen_sub = p.add_subparsers(dest="kind", required=True)
@@ -335,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--y", type=float, default=None, help="buyer's value of the item (default 1.5x)")
     g.add_argument("--eps", type=float, required=True, help="receipt noise level, in (0, 1/2)")
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
 
     g = gen_sub.add_parser("pvc", help="n-party sequential computation with cheating lotteries")
     g.add_argument("--n", type=int, required=True)
@@ -347,19 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--uncollapsed", action="store_true",
                    help="keep the explicit catch lottery as a chance node")
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
 
     g = gen_sub.add_parser("from-lp", help="three-player game encoding a linear program")
     g.add_argument("--a", required=True, help="JSON rows of the constraint matrix (nonnegative)")
     g.add_argument("--b", required=True, help="JSON right-hand side")
     g.add_argument("--c", required=True, help="JSON objective vector")
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
 
     g = gen_sub.add_parser("ala", help="blame-symbol scheme charging listed damages")
     g.add_argument("--damages", required=True, help="comma-separated damage per player")
     _add_output(g)
-    g.set_defaults(func=_cmd_gen)
 
     return parser
 
@@ -368,13 +360,14 @@ def dispatch(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    commands = {"synth": _cmd_synth, "verify": _cmd_verify, "implement": _cmd_implement,
+                "bound": _cmd_bound, "spe": _cmd_spe, "simulate": _cmd_simulate, "gen": _cmd_gen}
     try:
-        return args.func(args, stdout, stderr, stdin)
+        return commands[args.command](args, stdout, stderr, stdin)
     except (Infeasible, TargetNotImplementable, NotLeftInvertible) as exc:
         stderr.write(f"no solution: {exc}\n")
         return 1

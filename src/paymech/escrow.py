@@ -8,12 +8,14 @@ are deterministic functions of (instance, seed).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch
-from .game_core import Branch, GameTree, StrategyProfile, check_profile
+from .game_core import Branch, GameTree, StrategyProfile, check_profile, utility_matrix
 from .info_structure import InfoStructure, PaymentScheme
 
 
@@ -37,9 +39,9 @@ class Episode:
 
 def _sample_index(probs, rng) -> int:
     # inverse-cdf draw; one uniform per random event keeps streams stable
-    edges = np.cumsum(probs)
+    edges = list(accumulate(probs))
     r = rng.random() * edges[-1]
-    return int(np.searchsorted(edges, r, side="right").clip(0, len(probs) - 1))
+    return min(bisect_right(edges, r), len(edges) - 1)
 
 
 def _check_instance(tree, info, scheme):
@@ -60,22 +62,7 @@ def run_episode(
 ) -> Episode:
     """Play one episode under the profile with a seeded generator."""
     _check_instance(tree, info, scheme)
-    return _play(tree, info, scheme, check_profile(tree, profile), seed)
-
-
-def _play(tree, info, scheme, chosen, seed) -> Episode:
-    """One episode under the resolved profile `chosen`."""
-    rng = np.random.default_rng(seed)
-    v = 0
-    while tree.kids[v]:
-        node = tree.order[v]
-        if isinstance(node, Branch):
-            v = chosen[v]
-        else:
-            v = tree.kids[v][_sample_index([p for p, _ in node.children], rng)]
-    node = tree.order[v]
-
-    symbol_index = _sample_index(node.emission, rng)
+    node, symbol_index = _play(tree, check_profile(tree, profile), seed)
     deposits = scheme.max_deposits
     net_losses = scheme.matrix[:, symbol_index].copy()
     return Episode(
@@ -89,6 +76,20 @@ def _play(tree, info, scheme, chosen, seed) -> Episode:
         net_losses=net_losses,
         realized_utilities=np.asarray(node.utilities) - net_losses,
     )
+
+
+def _play(tree, chosen, seed):
+    """The leaf and the symbol index of one episode under `chosen`."""
+    rng = np.random.default_rng(seed)
+    v = 0
+    while tree.kids[v]:
+        node = tree.order[v]
+        if isinstance(node, Branch):
+            v = chosen[v]
+        else:
+            v = tree.kids[v][_sample_index([p for p, _ in node.children], rng)]
+    node = tree.order[v]
+    return node, _sample_index(node.emission, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +121,13 @@ def monte_carlo(
     _check_instance(tree, info, scheme)
     chosen = check_profile(tree, profile)
 
-    utilities = np.empty((trials, tree.n))
-    losses = np.empty((trials, tree.n))
-    counts = np.zeros(info.s)
-    for idx in range(trials):
-        ep = _play(tree, info, scheme, chosen, trial_seed(seed, idx))
-        utilities[idx] = ep.realized_utilities
-        losses[idx] = ep.net_losses
-        counts[ep.symbol_index] += 1.0
+    plays = [_play(tree, chosen, trial_seed(seed, idx)) for idx in range(trials)]
+    leaves = np.array([node.index for node, _ in plays])
+    symbols = np.array([k for _, k in plays])
+    # one C-ordered row per trial, as run_episode prices it
+    losses = scheme.matrix.T[symbols]
+    utilities = utility_matrix(tree).T[leaves] - losses
+    counts = np.bincount(symbols, minlength=info.s)
 
     if trials > 1:
         errors = utilities.std(axis=0, ddof=1) / np.sqrt(trials)

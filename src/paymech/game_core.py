@@ -49,8 +49,20 @@ class Leaf:
     index: int = -1  # assigned when the tree is built
 
 
-@dataclass(frozen=True)
-class Branch:
+class _Structural:
+    """== and hash by `_structure`, so deep trees compare without recursion."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _structure(self) == _structure(other)
+
+    def __hash__(self):
+        return hash(_structure(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Branch(_Structural):
     id: str
     owner: int
     children: tuple[tuple[str, "Node"], ...]
@@ -70,13 +82,29 @@ class Branch:
         return self.children[self.move_index(move)][1]
 
 
-@dataclass(frozen=True)
-class Chance:
+@dataclass(frozen=True, eq=False)
+class Chance(_Structural):
     id: str
     children: tuple[tuple[float, "Node"], ...]
 
 
 Node = Union[Branch, Chance, Leaf]
+
+
+def _structure(root: Node) -> tuple:
+    """Every node under `root` in preorder, as its own fields: a leaf
+    itself, another node its type, id, owner and child labels.  Equal
+    exactly when the nested trees are."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node)
+        else:
+            out.append((type(node), node.id, getattr(node, "owner", -1),
+                        tuple(k for k, _ in node.children)))
+            stack.extend(child for _, child in reversed(node.children))
+    return tuple(out)
 
 
 def leaf(node_id: str, utilities: Iterable[float], emission: Iterable[float]) -> Leaf:
@@ -93,7 +121,7 @@ def chance(node_id: str, children: Iterable[tuple[float, Node]]) -> Chance:
     return Chance(node_id, tuple((float(p), c) for p, c in children))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GameTree:
     """A validated game tree, compiled into preorder arrays.
 
@@ -184,24 +212,6 @@ class GameTree:
             else:
                 todo.append((chosen[v], p))
         return out
-
-    def _flat(self):
-        """Players, child positions and each node's own fields: equal exactly
-        when the nested trees are, and compared without recursion."""
-        own = tuple(
-            node if isinstance(node, Leaf)
-            else (type(node), node.id, getattr(node, "owner", -1), tuple(k for k, _ in node.children))
-            for node in self.order
-        )
-        return self.players, self.kids, own
-
-    def __eq__(self, other):
-        if not isinstance(other, GameTree):
-            return NotImplemented
-        return self._flat() == other._flat()
-
-    def __hash__(self):
-        return hash(self._flat())
 
 
 def _compile(root: Node, n: int):

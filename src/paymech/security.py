@@ -89,6 +89,14 @@ class ConstraintSystem:
         """The rows as a dense (alpha, n*m) matrix over vec(E), row-major."""
         return self._blocks(self.coef)
 
+    def check(self, e) -> VerifyReport:
+        """The slack of every row at implemented utilities e (n, m), and
+        the rows it violates beyond SLACK_TOL."""
+        slacks = self.dot(e) - self.rhs
+        slacks.setflags(write=False)
+        violations = tuple((row, float(s)) for row, s in zip(self.rows, slacks) if s < -SLACK_TOL)
+        return VerifyReport(not violations, slacks, violations, self)
+
     def _blocks(self, per_row: np.ndarray) -> np.ndarray:
         out = np.zeros((self.alpha, self.n, per_row.shape[1]))
         out[np.arange(self.alpha), self.player] = per_row
@@ -174,12 +182,4 @@ def verify(
     if info.m != tree.m:
         raise DimensionMismatch(f"{info.m} emission columns for {tree.m} leaves")
     system = build_constraints(tree, profile, params)
-    u = utility_matrix(tree)
-    e = implemented_utilities(u, scheme, info)
-    slacks = system.dot(e) - system.rhs
-    slacks.setflags(write=False)
-    violations = tuple(
-        (row, float(s)) for row, s in zip(system.rows, slacks) if s < -SLACK_TOL
-    )
-    return VerifyReport(not violations, slacks, violations, system)
-
+    return system.check(implemented_utilities(utility_matrix(tree), scheme, info))

@@ -22,8 +22,8 @@ from .errors import (
     Unbounded,
 )
 from .game_core import GameTree, StrategyProfile, check_profile, honest_outcome, utility_matrix
-from .info_structure import InfoStructure, PaymentScheme
-from .security import SecurityParams, build_constraints, verify
+from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
+from .security import SecurityParams, build_constraints
 from .simplex import LinearProgram, solve
 
 OBJ_WEIGHTED = "weighted_cost"
@@ -166,7 +166,7 @@ def synthesize(
         raise Unbounded("cost objective is unbounded below on the feasible region")
 
     scheme = PaymentScheme(outcome.x[: n * s].reshape(n, s))
-    report = verify(tree, info, scheme, profile, params)
+    report = system.check(implemented_utilities(u, scheme, info))
     if not report.passed:
         raise NumericalBreakdown(
             f"solver output fails re-verification (min slack {report.min_slack:.3e})"

@@ -195,6 +195,16 @@ def test_synth_structure_flags(tmp_path):
     assert code == 0
 
 
+def test_cached_parser_keeps_no_flags_between_calls(tmp_path):
+    game = gen_commerce(tmp_path)
+    cli.build_parser.cache_clear()
+    plain = run(["synth", str(game), "--delta", "1"])
+    inflated = run(["synth", str(game), "--delta", "1", "--zero-inflation"])
+    assert plain[0] == 0 and inflated[0] == 0 and inflated[1] != plain[1]
+    assert run(["synth", str(game), "--delta", "1"]) == plain
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_cost_objective_needs_costs(tmp_path):
     game = gen_commerce(tmp_path)
     code, _, err = run(["synth", str(game), "--delta", "1", "--objective", "cost"])

@@ -5,6 +5,7 @@ import pytest
 
 from paymech import (
     BadParameters,
+    Chance,
     DimensionMismatch,
     Episode,
     InfoStructure,
@@ -129,3 +130,32 @@ def test_random_instances_respect_scheme_column(commerce_inst):
         ep = run_episode(tree, info, scheme, profile, seed=int(rng.integers(1 << 30)))
         np.testing.assert_array_equal(ep.net_losses, lam[:, ep.symbol_index])
         np.testing.assert_array_equal(ep.deposits, lam.max(axis=1))
+
+
+def _chance_instances(count):
+    rng = np.random.default_rng(31)
+    while count:
+        tree, info, profile = random_instance(rng, max_nodes=16)
+        if any(isinstance(node, Chance) for node in tree.order):
+            count -= 1
+            yield tree, info, PaymentScheme(rng.normal(size=(tree.n, info.s)).round(2)), profile
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_monte_carlo_aggregates_run_episode(commerce_inst, case):
+    # the batch pricing in monte_carlo gives the bits of one episode at a time
+    if case == 0:
+        inst = commerce_inst
+        tree, info, scheme, profile = inst.tree, inst.info, inst.scheme, DEVIATION
+    else:
+        tree, info, scheme, profile = list(_chance_instances(3))[case - 1]
+    trials, seed = 300, 17 + case
+    res = monte_carlo(tree, info, scheme, profile, trials, seed)
+    eps = [run_episode(tree, info, scheme, profile, trial_seed(seed, i)) for i in range(trials)]
+    utilities = np.array([ep.realized_utilities for ep in eps])
+    losses = np.array([ep.net_losses for ep in eps])
+    counts = np.array([sum(ep.symbol_index == k for ep in eps) for k in range(info.s)])
+    np.testing.assert_array_equal(res.mean_utilities, utilities.mean(axis=0))
+    np.testing.assert_array_equal(res.std_errors, utilities.std(axis=0, ddof=1) / np.sqrt(trials))
+    np.testing.assert_array_equal(res.symbol_frequencies, counts / trials)
+    np.testing.assert_array_equal(res.mean_net_losses, losses.mean(axis=0))

@@ -216,6 +216,7 @@ def test_deep_chain_analyses_match_plain_loops():
     twin = chain(util[depth])
     assert tree == twin and hash(tree) == hash(twin)
     assert tree != chain((0.0, 1.0))
+    assert tree.root == twin.root and hash(tree.root) == hash(twin.root)
 
     # plain loops over the chain
     spe, value = {}, util[depth]

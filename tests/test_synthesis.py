@@ -23,6 +23,7 @@ from paymech import (
     utility_matrix,
     verify,
 )
+from paymech import security, synthesis
 from paymech.synthesis import HONEST_EXPECTED, OBJ_MINMAX, OBJ_WEIGHTED
 
 from .helpers import random_instance, solvable_instance
@@ -173,3 +174,18 @@ def test_degenerate_programs_match_reference_lp(seed, draw, t, delta, optimum):
     scheme = synthesize(tree, info, profile, params)
     assert scheme.matrix.max() == pytest.approx(optimum, rel=1e-6)
     assert verify(tree, info, scheme, profile, params).passed
+
+
+def test_synthesize_builds_constraints_once(commerce, monkeypatch):
+    # the re-verification checks the solved scheme on the rows it solved
+    calls = []
+    original = security.build_constraints
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "build_constraints", counted)
+    monkeypatch.setattr(security, "build_constraints", counted)
+    synthesize(commerce.tree, commerce.info, commerce.profile, SecurityParams(delta=1.0))
+    assert len(calls) == 1
