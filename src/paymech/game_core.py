@@ -13,9 +13,16 @@ Construction validates the tree and compiles it, in one iterative pass,
 into preorder arrays: `order[v]` is the node at preorder position v and
 `kids[v]` its child positions.  Each call resolves a strategy profile
 once into `chosen`, the chosen child position of every branch.  The
-analyses are three loops over these arrays, none recursive: the
-top-down spread `GameTree.reach`, the bottom-up `_fold` over reversed
-preorder, and the sampled path of an escrow episode.
+analyses are four loops over these arrays, none recursive:
+- the top-down spread `GameTree.reach` (`honest_outcome`,
+  `inducible_leaves`, and a chance node's honest outcome in
+  `security.build_constraints`);
+- `_fold` over reversed preorder (`backward_induction`,
+  `expected_utilities`);
+- the pass of `security.build_constraints` over reversed preorder,
+  which gives each node its honest outcome and merges each coalition's
+  reachable leaf sets;
+- the sampled path of an escrow episode.
 """
 
 from __future__ import annotations
@@ -50,7 +57,9 @@ class Leaf:
 
 
 class _Structural:
-    """== and hash by `_structure`, so deep trees compare without recursion."""
+    """== and hash by `_structure`, so deep trees compare without recursion;
+    repr shows the node's own fields and its child labels (moves or
+    probabilities), not its subtree."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -60,8 +69,13 @@ class _Structural:
     def __hash__(self):
         return hash(_structure(self))
 
+    def __repr__(self):
+        owner = f", owner={self.owner}" if hasattr(self, "owner") else ""
+        labels = tuple(k for k, _ in self.children)
+        return f"{type(self).__name__}(id={self.id!r}{owner}, children={labels!r})"
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Branch(_Structural):
     id: str
     owner: int
@@ -82,7 +96,7 @@ class Branch(_Structural):
         return self.children[self.move_index(move)][1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Chance(_Structural):
     id: str
     children: tuple[tuple[float, "Node"], ...]

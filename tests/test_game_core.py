@@ -217,6 +217,7 @@ def test_deep_chain_analyses_match_plain_loops():
     assert tree == twin and hash(tree) == hash(twin)
     assert tree != chain((0.0, 1.0))
     assert tree.root == twin.root and hash(tree.root) == hash(twin.root)
+    assert repr(tree) and repr(tree.root)
 
     # plain loops over the chain
     spe, value = {}, util[depth]

@@ -1,15 +1,22 @@
 """Constraint generation, verification, and the block form of the rows."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from paymech import (
     BadParameters,
+    ConstraintRow,
+    GameTree,
     PaymentScheme,
     SecurityParams,
     backward_induction,
+    branch,
     build_constraints,
+    chance,
     inducible_leaves,
+    leaf,
     utility_matrix,
     verify,
 )
@@ -127,3 +134,98 @@ def test_coalitions_only_add_constraints():
         single = build_constraints(tree, profile, SecurityParams(delta=1.0, t=1))
         pairs = build_constraints(tree, profile, SecurityParams(delta=1.0, t=2))
         assert system_rows(single) <= system_rows(pairs)
+
+
+def _reference_rows(tree, profile, t):
+    """The rows as one `tree.reach` per subgame per coalition finds them,
+    deduplicated on (player, support id, leaf): the metadata, and the
+    dense matrix as (row, column, value) triplets."""
+    n, m = tree.n, tree.m
+    chosen = tree.resolve(profile)
+    coalitions = [c for size in range(1, t + 1) for c in combinations(range(n), size)]
+    supports, seen, rows, triplets = {}, set(), [], []
+    for v, root in enumerate(tree.order):
+        honest = [(lf.index, p) for lf, p in tree.reach(v, chosen) if p > 0]
+        support = tuple(j for j, _ in honest)
+        sid = supports.setdefault((support, tuple(p for _, p in honest)), len(supports))
+        for coalition in coalitions:
+            reachable = {lf.index for lf, _ in tree.reach(v, chosen, coalition)}
+            for i in coalition:
+                for j in sorted(reachable.difference(support)):
+                    if (i, sid, j) in seen:
+                        continue
+                    seen.add((i, sid, j))
+                    r = len(rows)
+                    rows.append(ConstraintRow(root.id, coalition, i, j))
+                    triplets += [(r, i * m + a, p) for a, p in honest] + [(r, i * m + j, -1.0)]
+    return rows, triplets
+
+
+def _chain(depth):
+    # level d: branch b{d} of player d % 2 either stops at leaf s{d} or goes on
+    node = leaf("end", (0.0, 0.0), (0.5, 0.5))
+    for d in reversed(range(depth)):
+        stop = leaf(f"s{d}", (1.0 + d % 3, 2.0 - d % 5), (1.0, 0.0))
+        node = branch(f"b{d}", d % 2, [("stop", stop), ("go", node)])
+    return GameTree(("A", "B"), node)
+
+
+def test_row_order_and_metadata_match_the_per_subgame_walk():
+    # verify prints violations in row order, so the order is output
+    cases = []
+    rng = np.random.default_rng(43)
+    for trial in range(40):
+        n, t = (3, 2) if trial % 2 else (2, 1)
+        tree, _, profile = random_instance(rng, n_players=n, max_nodes=20)
+        cases.append((tree, profile, t))
+    # a chance node whose only positive-probability child has p = 1, and
+    # zero-probability children whose subtrees hold branches
+    hand = GameTree(("A", "B"), branch("r", 0, [
+        ("a", chance("c1", [
+            (0.0, leaf("z", (9.0, 9.0), (1.0,))),
+            (1.0, branch("b1", 1, [("x", leaf("l1", (1.0, 2.0), (1.0,))),
+                                   ("y", leaf("l2", (3.0, 0.0), (1.0,)))])),
+        ])),
+        ("b", chance("c2", [
+            (0.0, branch("b2", 1, [("x", leaf("l3", (0.0, 5.0), (1.0,))),
+                                   ("y", leaf("l4", (4.0, 1.0), (1.0,)))])),
+            (0.25, leaf("l5", (2.0, 2.0), (1.0,))),
+            (0.75, branch("b3", 0, [("x", leaf("l6", (6.0, 0.0), (1.0,))),
+                                    ("y", leaf("l7", (0.0, 6.0), (1.0,)))])),
+        ])),
+    ]))
+    for moves in product("ab", "xy", "xy", "xy"):
+        profile = dict(zip(("r", "b1", "b2", "b3"), moves))
+        cases += [(hand, profile, 1), (hand, profile, 2)]
+    chain = _chain(1500)
+    cases.append((chain, backward_induction(chain), 1))
+    cases.append((chain, {f"b{d}": "stop" if d % 7 == 3 else "go" for d in range(1500)}, 1))
+    for tree, profile, t in cases:
+        system = build_constraints(tree, profile, SecurityParams(delta=0.5, t=t))
+        rows, triplets = _reference_rows(tree, profile, t)
+        assert list(system.rows) == rows
+        np.testing.assert_array_equal(system.player, [row.deviator for row in rows])
+        np.testing.assert_array_equal(system.rhs, np.full(len(rows), 0.5))
+        a = system.a
+        r, c, value = (np.array(col) for col in zip(*triplets)) if triplets else ([], [], [])
+        assert a.shape == (len(rows), tree.n * tree.m) and np.count_nonzero(a) == len(triplets)
+        assert np.array_equal(a[r, c], value)
+
+
+def test_constraint_system_holds_no_dense_matrix():
+    # balanced 3-ary depth-7 tree (3280 nodes, 2187 leaves); a dense
+    # (alpha, m) layout would hold about 50 MB
+    def node(path, depth):
+        if depth == 7:
+            k = int(path, 3) if path else 0
+            return leaf(f"L{path}", (float(k % 5), float(k % 7)), (1.0,))
+        kids = [(f"m{c}", node(path + str(c), depth + 1)) for c in range(3)]
+        return branch(f"B{path}", depth % 2, kids)
+
+    tree = GameTree(("A", "B"), node("", 0))
+    assert len(tree.order) == 3280
+    system = build_constraints(tree, backward_induction(tree), SecurityParams(delta=1.0))
+    held = [value for value in vars(system).values() if isinstance(value, np.ndarray)]
+    assert system.alpha > 0
+    assert all(arr.size < system.alpha * system.m for arr in held)
+    assert sum(arr.nbytes for arr in held) < 1e6
