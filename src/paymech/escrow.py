@@ -3,7 +3,10 @@
 Every player posts their worst-case payment up front; after the game
 reaches a leaf and a symbol is drawn from that leaf's pdf, each player
 is repaid their deposit minus the payment the symbol dictates.  Episodes
-are deterministic functions of (instance, seed).
+are deterministic functions of (instance, seed): one generator draws one
+uniform per chance node on the path and one for the symbol.  Monte Carlo
+plays all its trials, in order, from one `default_rng(seed)`, so its
+first trial is `run_episode(seed)`.
 """
 
 from __future__ import annotations
@@ -62,25 +65,26 @@ def run_episode(
 ) -> Episode:
     """Play one episode under the profile with a seeded generator."""
     _check_instance(tree, info, scheme)
-    node, symbol_index = _play(tree, check_profile(tree, profile), seed)
+    j, symbol_index = _play(tree, check_profile(tree, profile), np.random.default_rng(seed))
+    lf = tree.leaves[j]
     deposits = scheme.max_deposits
     net_losses = scheme.matrix[:, symbol_index].copy()
     return Episode(
         seed=seed,
-        leaf_index=node.index,
-        leaf_id=node.id,
+        leaf_index=j,
+        leaf_id=lf.id,
         symbol_index=symbol_index,
         symbol=info.alphabet[symbol_index],
         deposits=deposits,
         repayments=deposits - net_losses,
         net_losses=net_losses,
-        realized_utilities=np.asarray(node.utilities) - net_losses,
+        realized_utilities=np.asarray(lf.utilities) - net_losses,
     )
 
 
-def _play(tree, chosen, seed):
-    """The leaf and the symbol index of one episode under `chosen`."""
-    rng = np.random.default_rng(seed)
+def _play(tree, chosen, rng):
+    """The leaf number and the symbol index of one episode under `chosen`,
+    drawn from `rng`."""
     v = 0
     while tree.kids[v]:
         node = tree.order[v]
@@ -88,8 +92,7 @@ def _play(tree, chosen, seed):
             v = chosen[v]
         else:
             v = tree.kids[v][_sample_index([p for p, _ in node.children], rng)]
-    node = tree.order[v]
-    return node, _sample_index(node.emission, rng)
+    return tree.leaf_index[v], _sample_index(tree.order[v].emission, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +106,10 @@ class McResult:
 
 
 def trial_seed(master_seed: int, index: int) -> int:
-    """Per-trial seed from a fixed splitting rule; order-independent."""
+    """Per-trial seed from a fixed splitting rule; order-independent.
+
+    For independent `run_episode` replays; `monte_carlo` does not use it
+    (its trials share one generator)."""
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
@@ -115,14 +121,16 @@ def monte_carlo(
     trials: int,
     seed: int,
 ) -> McResult:
-    """Estimate implemented utilities by repeated seeded episodes."""
+    """Estimate implemented utilities from `trials` episodes played in
+    order from one `default_rng(seed)`; trial 0 is `run_episode(seed)`."""
     if trials < 1:
         raise BadParameters(f"trials must be >= 1, got {trials}")
     _check_instance(tree, info, scheme)
     chosen = check_profile(tree, profile)
 
-    plays = [_play(tree, chosen, trial_seed(seed, idx)) for idx in range(trials)]
-    leaves = np.array([node.index for node, _ in plays])
+    rng = np.random.default_rng(seed)
+    plays = [_play(tree, chosen, rng) for _ in range(trials)]
+    leaves = np.array([j for j, _ in plays])
     symbols = np.array([k for _, k in plays])
     # one C-ordered row per trial, as run_episode prices it
     losses = scheme.matrix.T[symbols]

@@ -4,19 +4,21 @@ A game tree is built from three node kinds: decision nodes owned by a
 player (Branch), random moves with fixed probabilities (Chance), and
 terminal nodes (Leaf).  Every leaf carries a utility vector, one entry
 per player, and an emission distribution over the symbols of whatever
-reporting mechanism observes the play.  Leaves are indexed 0..m-1 in
+reporting mechanism observes the play.  Leaves are numbered 0..m-1 in
 depth-first, left-to-right order; that order fixes the columns of the
 utility matrix and of the emission matrix everywhere else in the
-package.
+package.  The number belongs to the compiled tree, not to the `Leaf`,
+so one leaf object can sit at different places in different trees.
 
 Construction validates the tree and compiles it, in one iterative pass,
-into preorder arrays: `order[v]` is the node at preorder position v and
-`kids[v]` its child positions.  Each call resolves a strategy profile
-once into `chosen`, the chosen child position of every branch.  The
-analyses are four loops over these arrays, none recursive:
-- the top-down spread `GameTree.reach` (`honest_outcome`,
-  `inducible_leaves`, and a chance node's honest outcome in
-  `security.build_constraints`);
+into preorder arrays: `order[v]` is the node at preorder position v,
+`kids[v]` its child positions and `leaf_index[v]` its leaf number (-1
+at other nodes).  Each call resolves a strategy profile once into
+`chosen`, the chosen child position of every branch.  The analyses are
+four loops over these arrays, none recursive:
+- the top-down spread `GameTree.reach`, which yields leaf numbers
+  (`honest_outcome`, `inducible_leaves`, and a chance node's honest
+  outcome in `security.build_constraints`);
 - `_fold` over reversed preorder (`backward_induction`,
   `expected_utilities`);
 - the pass of `security.build_constraints` over reversed preorder,
@@ -53,7 +55,6 @@ class Leaf:
     id: str
     utilities: tuple[float, ...]
     emission: tuple[float, ...]
-    index: int = -1  # assigned when the tree is built
 
 
 class _Structural:
@@ -142,7 +143,9 @@ class GameTree:
     Validation happens at construction: node ids must be unique, chance
     probabilities and leaf emissions must be distributions, utility
     vectors must match the player count, and all leaves must emit over
-    the same symbol count.  Leaf indices are assigned depth-first.
+    the same symbol count.  Leaves are numbered depth-first.  Pickling
+    and deepcopy go through the flat `_structure` list, so deep trees
+    do not recurse.
     """
 
     players: tuple[str, ...]
@@ -151,6 +154,7 @@ class GameTree:
     # position = preorder id; order[0] is the root
     order: tuple[Node, ...] = field(init=False, repr=False, compare=False)
     kids: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    leaf_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,11 +164,15 @@ class GameTree:
         if len(set(players)) != len(players):
             raise BadParameters("player names must be unique")
         object.__setattr__(self, "players", players)
-        order, kids, positions, leaves = _compile(self.root, len(players))
+        order, kids, leaf_index, positions, leaves = _compile(self.root, len(players))
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "kids", kids)
+        object.__setattr__(self, "leaf_index", leaf_index)
         object.__setattr__(self, "positions", positions)
+
+    def __reduce__(self):
+        return _rebuild, (self.players, _structure(self.root))
 
     @property
     def nodes(self) -> dict[str, Node]:
@@ -204,19 +212,20 @@ class GameTree:
                 chosen[v] = self.kids[v][node.move_index(profile[node.id])]
         return chosen
 
-    def reach(self, start: int, chosen, free=()) -> list[tuple[Leaf, float]]:
-        """Leaves reachable from position `start`, in leaf order, each with
-        the product of the chance probabilities on its path.  Branches of
-        players in `free` take every move, the others their `chosen` child;
-        chance nodes spread over their positive-probability children."""
-        order, kids = self.order, self.kids
+    def reach(self, start: int, chosen, free=()) -> list[tuple[int, float]]:
+        """Numbers of the leaves reachable from position `start`, in leaf
+        order, each with the product of the chance probabilities on its
+        path.  Branches of players in `free` take every move, the others
+        their `chosen` child; chance nodes spread over their
+        positive-probability children."""
+        order, kids, leaf_index = self.order, self.kids, self.leaf_index
         out = []
         todo = [(start, 1.0)]
         while todo:
             v, p = todo.pop()
             node = order[v]
             if isinstance(node, Leaf):
-                out.append((node, p))
+                out.append((leaf_index[v], p))
             elif isinstance(node, Chance):
                 for (q, _), c in zip(node.children[::-1], kids[v][::-1]):
                     if q > 0:
@@ -228,10 +237,27 @@ class GameTree:
         return out
 
 
+def _rebuild(players, structure) -> GameTree:
+    """The tree whose `_structure` list this is; children are popped in
+    left-to-right order off a stack filled over the list reversed."""
+    stack: list[Node] = []
+    for item in reversed(structure):
+        if isinstance(item, Leaf):
+            stack.append(item)
+            continue
+        kind, node_id, owner, labels = item
+        children = tuple((label, stack.pop()) for label in labels)
+        stack.append(Branch(node_id, owner, children) if kind is Branch
+                     else Chance(node_id, children))
+    return GameTree(players, stack.pop())
+
+
 def _compile(root: Node, n: int):
-    """Validate the tree and lay it out in preorder: (order, kids, positions, leaves)."""
+    """Validate the tree and lay it out in preorder:
+    (order, kids, leaf_index, positions, leaves)."""
     order: list[Node] = []
     kids: list[list[int]] = []
+    leaf_index: list[int] = []
     positions: dict[str, int] = {}
     leaves: list[Leaf] = []
     emission_len = None
@@ -243,6 +269,7 @@ def _compile(root: Node, n: int):
         v = positions[node.id] = len(order)
         order.append(node)
         kids.append([])
+        leaf_index.append(-1)
         if parent >= 0:
             kids[parent].append(v)
         if isinstance(node, Leaf):
@@ -264,12 +291,7 @@ def _compile(root: Node, n: int):
             total = sum(node.emission)
             if abs(total - 1.0) > PROB_TOL:
                 raise BadProbabilitySum(f"leaf {node.id!r} emission pdf sums to {total!r}")
-            j = len(leaves)
-            if node.index not in (-1, j):
-                raise ValidationError(
-                    f"leaf {node.id!r} carries index {node.index}, depth-first order gives {j}"
-                )
-            object.__setattr__(node, "index", j)
+            leaf_index[v] = len(leaves)
             leaves.append(node)
             continue
         if isinstance(node, Branch):
@@ -292,7 +314,8 @@ def _compile(root: Node, n: int):
         else:
             raise ValidationError(f"unknown node type {type(node).__name__}")
         stack.extend((child, v) for _, child in reversed(node.children))
-    return tuple(order), tuple(tuple(k) for k in kids), positions, tuple(leaves)
+    return (tuple(order), tuple(tuple(k) for k in kids), tuple(leaf_index), positions,
+            tuple(leaves))
 
 
 def utility_matrix(tree: GameTree) -> np.ndarray:
@@ -371,9 +394,9 @@ def honest_outcome(tree: GameTree, root_id: str, profile: StrategyProfile):
     start = tree.position(root_id)
     w = np.zeros(tree.m)
     u = np.zeros(tree.n)
-    for lf, p in tree.reach(start, tree.resolve(profile)):
-        w[lf.index] += p
-        u = u + p * np.asarray(lf.utilities, dtype=np.float64)
+    for j, p in tree.reach(start, tree.resolve(profile)):
+        w[j] += p
+        u = u + p * np.asarray(tree.leaves[j].utilities, dtype=np.float64)
     return w, u
 
 

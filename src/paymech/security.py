@@ -138,7 +138,7 @@ class ConstraintSystem:
 def inducible_leaves(
     tree: GameTree, root_id: str, coalition: Iterable[int], profile: StrategyProfile
 ) -> frozenset[int]:
-    """Leaf indices the coalition can reach with positive probability.
+    """Leaf numbers the coalition can reach with positive probability.
 
     Coalition members choose freely at their branches, everyone else
     follows the profile, and chance contributes every positive-probability
@@ -148,7 +148,7 @@ def inducible_leaves(
     if any(i < 0 or i >= tree.n for i in members):
         raise BadParameters(f"coalition {sorted(members)} out of range for {tree.n} players")
     start = tree.position(root_id)
-    return frozenset(lf.index for lf, _ in tree.reach(start, tree.resolve(profile), members))
+    return frozenset(j for j, _ in tree.reach(start, tree.resolve(profile), members))
 
 
 def build_constraints(
@@ -182,15 +182,16 @@ def build_constraints(
     for v in range(len(order) - 1, -1, -1):
         node = order[v]
         if isinstance(node, Leaf):
-            outcome_of[v] = number(((node.index,), (1.0,)))
-            reach[v] = [{node.index} for _ in coalitions]
+            j = tree.leaf_index[v]
+            outcome_of[v] = number(((j,), (1.0,)))
+            reach[v] = [{j} for _ in coalitions]
             continue
         if isinstance(node, Branch):
             outcome_of[v] = outcome_of[chosen[v]]
             followed = [chosen[v]]
         else:
             # weights from the top down, as honest_outcome multiplies them
-            honest = [(lf.index, p) for lf, p in tree.reach(v, chosen) if p > 0]
+            honest = [(j, p) for j, p in tree.reach(v, chosen) if p > 0]
             outcome_of[v] = number((tuple(j for j, _ in honest), tuple(p for _, p in honest)))
             followed = [c for (q, _), c in zip(node.children, kids[v]) if q > 0]
         for c in kids[v]:

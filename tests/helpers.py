@@ -148,7 +148,7 @@ def _reached(tree, root_id, moves, profile):
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
-            found.add(node.index)
+            found.add(tree.leaf_index[tree.position(node.id)])
         elif isinstance(node, Branch):
             stack.append(node.child(moves.get(node.id, profile[node.id])))
         else:

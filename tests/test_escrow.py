@@ -5,6 +5,7 @@ import pytest
 
 from paymech import (
     BadParameters,
+    Branch,
     Chance,
     DimensionMismatch,
     Episode,
@@ -141,9 +142,39 @@ def _chance_instances(count):
             yield tree, info, PaymentScheme(rng.normal(size=(tree.n, info.s)).round(2)), profile
 
 
+def _replay(tree, profile, trials, seed):
+    """(leaf number, symbol index) of each trial as the Monte Carlo contract
+    states it: one generator for all trials, one uniform per chance node
+    and one for the symbol, each drawn by inverse CDF on the left-to-right
+    cumulative sums."""
+    chosen = tree.resolve(profile)
+    rng = np.random.default_rng(seed)
+
+    def draw(probs):
+        edges, total = [], 0.0
+        for p in probs:
+            total += p
+            edges.append(total)
+        r = rng.random() * total
+        return next((k for k, edge in enumerate(edges) if edge > r), len(edges) - 1)
+
+    plays = []
+    for _ in range(trials):
+        v = 0
+        while tree.kids[v]:
+            node = tree.order[v]
+            if isinstance(node, Branch):
+                v = chosen[v]
+            else:
+                v = tree.kids[v][draw([p for p, _ in node.children])]
+        j = tree.leaf_index[v]
+        plays.append((j, draw(tree.leaves[j].emission)))
+    return plays
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_monte_carlo_aggregates_run_episode(commerce_inst, case):
-    # the batch pricing in monte_carlo gives the bits of one episode at a time
+    # the batch pricing in monte_carlo gives the bits of the replayed trials
     if case == 0:
         inst = commerce_inst
         tree, info, scheme, profile = inst.tree, inst.info, inst.scheme, DEVIATION
@@ -151,11 +182,30 @@ def test_monte_carlo_aggregates_run_episode(commerce_inst, case):
         tree, info, scheme, profile = list(_chance_instances(3))[case - 1]
     trials, seed = 300, 17 + case
     res = monte_carlo(tree, info, scheme, profile, trials, seed)
-    eps = [run_episode(tree, info, scheme, profile, trial_seed(seed, i)) for i in range(trials)]
-    utilities = np.array([ep.realized_utilities for ep in eps])
-    losses = np.array([ep.net_losses for ep in eps])
-    counts = np.array([sum(ep.symbol_index == k for ep in eps) for k in range(info.s)])
+    plays = _replay(tree, profile, trials, seed)
+    utilities = np.array([np.asarray(tree.leaves[j].utilities) - scheme.matrix[:, k]
+                          for j, k in plays])
+    losses = np.array([scheme.matrix[:, k] for _, k in plays])
+    counts = np.array([sum(k == s for _, k in plays) for s in range(info.s)])
     np.testing.assert_array_equal(res.mean_utilities, utilities.mean(axis=0))
     np.testing.assert_array_equal(res.std_errors, utilities.std(axis=0, ddof=1) / np.sqrt(trials))
     np.testing.assert_array_equal(res.symbol_frequencies, counts / trials)
     np.testing.assert_array_equal(res.mean_net_losses, losses.mean(axis=0))
+    ep = run_episode(tree, info, scheme, profile, seed)
+    assert (ep.leaf_index, ep.symbol_index) == plays[0]
+    np.testing.assert_array_equal(ep.realized_utilities, utilities[0])
+    np.testing.assert_array_equal(ep.net_losses, losses[0])
+
+
+def test_monte_carlo_makes_one_generator(commerce_inst, monkeypatch):
+    inst = commerce_inst
+    calls = []
+    make = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    monte_carlo(inst.tree, inst.info, inst.scheme, DEVIATION, trials=300, seed=4)
+    assert calls == [(4,)]

@@ -1,5 +1,8 @@
 """Tree construction, indexing, induction, and profile plumbing."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -53,8 +56,35 @@ def two_level_tree():
 def test_leaf_indexing_is_depth_first_left_to_right():
     tree = two_level_tree()
     assert [lf.id for lf in tree.leaves] == ["L0", "L1", "L2", "L3"]
-    assert [lf.index for lf in tree.leaves] == [0, 1, 2, 3]
+    assert [tree.leaf_index[tree.position(lf.id)] for lf in tree.leaves] == [0, 1, 2, 3]
     assert tree.n == 2 and tree.m == 4 and tree.num_symbols == 2
+
+
+def test_leaf_can_sit_at_different_numbers_in_different_trees():
+    a, b, c = (leaf(k, (1.0,), (1.0,)) for k in "abc")
+    first = GameTree(("P",), branch("r", 0, [("x", a), ("y", b)]))
+    second = GameTree(("P",), branch("r", 0, [("z", c), ("x", a), ("y", b)]))
+    assert [t.leaf_index[t.position("a")] for t in (first, second)] == [0, 1]
+    assert second.leaves == (c, a, b)
+
+
+def test_placed_leaf_equals_a_fresh_one():
+    tree = two_level_tree()
+    fresh = leaf("L2", (0.0, 4.0), (1, 0))
+    assert tree.leaves[2] == fresh and hash(tree.leaves[2]) == hash(fresh)
+
+
+def test_deep_chain_pickles_and_deepcopies():
+    node = chance("end", [(0.25, leaf("e0", (0.0, 1.0), (0.5, 0.5))),
+                          (0.75, leaf("e1", (1.0, 0.0), (1.0, 0.0)))])
+    for d in reversed(range(1500)):
+        node = branch(f"b{d}", d % 2, [("stop", leaf(f"s{d}", (1.0, float(d)), (1.0, 0.0))),
+                                       ("go", node)])
+    tree = GameTree(("A", "B"), node)
+    for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert twin == tree and twin.players == tree.players
+        assert twin.kids == tree.kids and twin.leaf_index == tree.leaf_index
+        assert twin.leaves == tree.leaves
 
 
 def test_utility_and_emission_matrices_follow_leaf_order():

@@ -145,11 +145,11 @@ def _reference_rows(tree, profile, t):
     coalitions = [c for size in range(1, t + 1) for c in combinations(range(n), size)]
     supports, seen, rows, triplets = {}, set(), [], []
     for v, root in enumerate(tree.order):
-        honest = [(lf.index, p) for lf, p in tree.reach(v, chosen) if p > 0]
+        honest = [(j, p) for j, p in tree.reach(v, chosen) if p > 0]
         support = tuple(j for j, _ in honest)
         sid = supports.setdefault((support, tuple(p for _, p in honest)), len(supports))
         for coalition in coalitions:
-            reachable = {lf.index for lf, _ in tree.reach(v, chosen, coalition)}
+            reachable = {j for j, _ in tree.reach(v, chosen, coalition)}
             for i in coalition:
                 for j in sorted(reachable.difference(support)):
                     if (i, sid, j) in seen:
