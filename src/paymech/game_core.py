@@ -13,7 +13,11 @@ so one leaf object can sit at different places in different trees.
 Construction validates the tree and compiles it, in one iterative pass,
 into preorder arrays: `order[v]` is the node at preorder position v,
 `kids[v]` its child positions and `leaf_index[v]` its leaf number (-1
-at other nodes).  Each call resolves a strategy profile once into
+at other nodes).  Each node is checked by one of the per-node rules
+(`check_new_id`, `check_leaf`, `check_branch`, `check_chance`).  The
+document reader in `jsonio` applies the same rules as it reads a game
+document and fills these arrays itself, so a tree compiled from a
+document is not walked again.  Each call resolves a strategy profile once into
 `chosen`, the chosen child position of every branch.  The analyses are
 four loops over these arrays, none recursive:
 - the top-down spread `GameTree.reach`, which yields leaf numbers
@@ -29,6 +33,7 @@ four loops over these arrays, none recursive:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -142,10 +147,10 @@ class GameTree:
 
     Validation happens at construction: node ids must be unique, chance
     probabilities and leaf emissions must be distributions, utility
-    vectors must match the player count, and all leaves must emit over
-    the same symbol count.  Leaves are numbered depth-first.  Pickling
-    and deepcopy go through the flat `_structure` list, so deep trees
-    do not recurse.
+    vectors must be finite and match the player count, and all leaves
+    must emit over the same symbol count.  Leaves are numbered
+    depth-first.  Pickling and deepcopy go through the flat `_structure`
+    list, so deep trees do not recurse.
     """
 
     players: tuple[str, ...]
@@ -158,18 +163,22 @@ class GameTree:
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        players = tuple(str(p) for p in self.players)
-        if not players:
-            raise BadParameters("a game needs at least one player")
-        if len(set(players)) != len(players):
-            raise BadParameters("player names must be unique")
-        object.__setattr__(self, "players", players)
-        order, kids, leaf_index, positions, leaves = _compile(self.root, len(players))
-        object.__setattr__(self, "leaves", leaves)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "kids", kids)
-        object.__setattr__(self, "leaf_index", leaf_index)
-        object.__setattr__(self, "positions", positions)
+        players = check_players(self.players)
+        self._install(players, self.root, _compile(self.root, len(players)))
+
+    @classmethod
+    def _from_arrays(cls, players, order, kids, leaf_index, positions, leaves) -> "GameTree":
+        """The tree whose preorder arrays a caller has already filled, each
+        node checked with the rules `_compile` applies (the document
+        reader); `players` is the result of `check_players`."""
+        tree = object.__new__(cls)
+        tree._install(players, order[0], (order, kids, leaf_index, positions, leaves))
+        return tree
+
+    def _install(self, players, root, arrays):
+        for name, value in zip(("players", "root", "order", "kids", "leaf_index", "positions",
+                                "leaves"), (players, root, *arrays)):
+            object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return _rebuild, (self.players, _structure(self.root))
@@ -252,8 +261,67 @@ def _rebuild(players, structure) -> GameTree:
     return GameTree(players, stack.pop())
 
 
+def check_players(players) -> tuple[str, ...]:
+    """The player names as a tuple: at least one, and no name twice."""
+    players = tuple(str(p) for p in players)
+    if not players:
+        raise BadParameters("a game needs at least one player")
+    if len(set(players)) != len(players):
+        raise BadParameters("player names must be unique")
+    return players
+
+
+# The per-node rules.  `_compile` applies them to trees built in code and
+# the document reader in `jsonio` to each node it reads; neither checks
+# a node any other way.
+
+def check_new_id(positions, node_id) -> None:
+    if node_id in positions:
+        raise DuplicateNodeId(f"node id {node_id!r} appears more than once")
+
+
+def check_leaf(node_id, utilities, emission, n: int, emission_len):
+    """Returns the emission length every leaf must share (None until the
+    first leaf sets it).  A NaN or infinity fails, so does a NaN sum."""
+    if len(utilities) != n:
+        raise DimensionMismatch(f"leaf {node_id!r} has {len(utilities)} utilities, expected {n}")
+    if not all(map(math.isfinite, utilities)):
+        raise ValidationError(f"leaf {node_id!r} has a non-finite utility")
+    if emission_len is None:
+        emission_len = len(emission)
+        if emission_len < 1:
+            raise DimensionMismatch(f"leaf {node_id!r} has an empty emission pdf")
+    elif len(emission) != emission_len:
+        raise DimensionMismatch(
+            f"leaf {node_id!r} emits over {len(emission)} symbols, expected {emission_len}"
+        )
+    if min(emission) < 0:
+        raise BadProbabilitySum(f"leaf {node_id!r} has a negative emission probability")
+    total = sum(emission)
+    if not abs(total - 1.0) <= PROB_TOL:
+        raise BadProbabilitySum(f"leaf {node_id!r} emission pdf sums to {total!r}")
+    return emission_len
+
+
+def check_branch(node_id, owner: int, moves, n: int) -> None:
+    if not moves:
+        raise ValidationError(f"branch {node_id} has no children")
+    if not 0 <= owner < n:
+        raise DimensionMismatch(f"branch {node_id!r} owner {owner} out of range for {n} players")
+    if len(set(moves)) != len(moves):
+        raise ValidationError(f"branch {node_id!r} repeats a move name")
+
+
+def check_chance(node_id, probs) -> None:
+    if min(probs, default=0.0) < 0:
+        raise BadProbabilitySum(f"chance node {node_id!r} has a negative probability")
+    total = sum(probs)
+    if not abs(total - 1.0) <= PROB_TOL:
+        raise BadProbabilitySum(f"chance node {node_id!r} probabilities sum to {total!r}")
+
+
 def _compile(root: Node, n: int):
-    """Validate the tree and lay it out in preorder:
+    """Check the tree node by node and lay it out in preorder:
     (order, kids, leaf_index, positions, leaves)."""
     order: list[Node] = []
     kids: list[list[int]] = []
@@ -264,8 +332,7 @@ def _compile(root: Node, n: int):
     stack = [(root, -1)]
     while stack:
         node, parent = stack.pop()
-        if node.id in positions:
-            raise DuplicateNodeId(f"node id {node.id!r} appears more than once")
+        check_new_id(positions, node.id)
         v = positions[node.id] = len(order)
         order.append(node)
         kids.append([])
@@ -273,44 +340,14 @@ def _compile(root: Node, n: int):
         if parent >= 0:
             kids[parent].append(v)
         if isinstance(node, Leaf):
-            if len(node.utilities) != n:
-                raise DimensionMismatch(
-                    f"leaf {node.id!r} has {len(node.utilities)} utilities, expected {n}"
-                )
-            if emission_len is None:
-                emission_len = len(node.emission)
-                if emission_len < 1:
-                    raise DimensionMismatch(f"leaf {node.id!r} has an empty emission pdf")
-            elif len(node.emission) != emission_len:
-                raise DimensionMismatch(
-                    f"leaf {node.id!r} emits over {len(node.emission)} symbols, "
-                    f"expected {emission_len}"
-                )
-            if any(p < 0 for p in node.emission):
-                raise BadProbabilitySum(f"leaf {node.id!r} has a negative emission probability")
-            total = sum(node.emission)
-            if abs(total - 1.0) > PROB_TOL:
-                raise BadProbabilitySum(f"leaf {node.id!r} emission pdf sums to {total!r}")
+            emission_len = check_leaf(node.id, node.utilities, node.emission, n, emission_len)
             leaf_index[v] = len(leaves)
             leaves.append(node)
             continue
         if isinstance(node, Branch):
-            if not node.children:
-                raise ValidationError(f"branch {node.id!r} has no moves")
-            if not 0 <= node.owner < n:
-                raise DimensionMismatch(
-                    f"branch {node.id!r} owner {node.owner} out of range for {n} players"
-                )
-            moves = node.moves()
-            if len(set(moves)) != len(moves):
-                raise ValidationError(f"branch {node.id!r} repeats a move name")
+            check_branch(node.id, node.owner, node.moves(), n)
         elif isinstance(node, Chance):
-            probs = [p for p, _ in node.children]
-            if any(p < 0 for p in probs):
-                raise BadProbabilitySum(f"chance node {node.id!r} has a negative probability")
-            total = sum(probs)
-            if abs(total - 1.0) > PROB_TOL:
-                raise BadProbabilitySum(f"chance node {node.id!r} probabilities sum to {total!r}")
+            check_chance(node.id, [p for p, _ in node.children])
         else:
             raise ValidationError(f"unknown node type {type(node).__name__}")
         stack.extend((child, v) for _, child in reversed(node.children))

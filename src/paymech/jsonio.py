@@ -5,18 +5,42 @@ floats with 12 significant digits, and infinities as the quoted tokens
 "inf" / "-inf".  Branch children are the one place where order carries
 meaning (it fixes leaf indexing), so they are emitted as an OrderedMap,
 which preserves insertion order.
+
+Neither direction recurses, so document depth is bounded only by
+`json.loads`.  The reader makes one pass over the document tree with an
+explicit stack: it checks each node's JSON types and, with the per-node
+rules of `game_core`, its values, and fills the tree's preorder arrays
+as it goes, so the tree is not walked a second time to compile it.  The
+writer is one loop over a stack of literal text pieces and values still
+to be written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .game_core import Branch, Chance, GameTree, Leaf, branch, chance, leaf
+from .game_core import (
+    Branch,
+    Chance,
+    GameTree,
+    Leaf,
+    check_branch,
+    check_chance,
+    check_leaf,
+    check_new_id,
+    check_players,
+)
 from .info_structure import InfoStructure, PaymentScheme
+
+_quote = json.encoder.encode_basestring_ascii  # the bytes of json.dumps(s, ensure_ascii=True)
+
+# values written inline; a list of only these goes on one line
+_SCALARS = (str, bool, int, float, np.generic, type(None))
 
 
 class OrderedMap(dict):
@@ -24,90 +48,115 @@ class OrderedMap(dict):
 
 
 def _format_float(v: float) -> str:
-    if np.isnan(v):
+    if v != v:
         raise ValidationError("cannot serialize NaN")
-    if np.isposinf(v):
+    if v == math.inf:
         return '"inf"'
-    if np.isneginf(v):
+    if v == -math.inf:
         return '"-inf"'
     out = format(v, ".12g")
     return "0" if out == "-0" else out
 
 
-def _is_scalar(v) -> bool:
-    return isinstance(v, (str, bool, int, float, np.generic)) or v is None
-
-
-def _emit(v, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
+def _scalar(v) -> str:
     if isinstance(v, np.generic):
         v = v.item()
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if isinstance(v, float):
         return _format_float(v)
     if isinstance(v, str):
-        return json.dumps(v, ensure_ascii=True)
-    if isinstance(v, (list, tuple)):
-        items = list(v)
-        if not items:
-            return "[]"
-        if all(_is_scalar(x) for x in items):
-            return "[" + ", ".join(_emit(x, 0) for x in items) + "]"
-        body = ",\n".join(inner + _emit(x, indent + 1) for x in items)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        keys = list(v.keys()) if isinstance(v, OrderedMap) else sorted(v.keys())
-        if not all(isinstance(k, str) for k in keys):
-            raise ValidationError("document keys must be strings")
-        body = ",\n".join(
-            inner + json.dumps(k, ensure_ascii=True) + ": " + _emit(v[k], indent + 1)
-            for k in keys
-        )
-        return "{\n" + body + "\n" + pad + "}"
+        return _quote(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(int(v))
+    if v is None:
+        return "null"
     raise ValidationError(f"cannot serialize value of type {type(v).__name__}")
 
 
+def _inline(v) -> str | None:
+    """The text of a value written on one line: a scalar, an empty
+    container or a list of scalars; None for any other value."""
+    if isinstance(v, _SCALARS):
+        return _scalar(v)
+    if isinstance(v, (list, tuple)) and all(isinstance(x, _SCALARS) for x in v):
+        return "[" + ", ".join(map(_scalar, v)) + "]"
+    if isinstance(v, dict) and not v:
+        return "{}"
+    return None
+
+
 def dumps_canonical(doc) -> str:
-    return _emit(doc, 0)
-
-
-def _node_to_doc(node):
-    if isinstance(node, Leaf):
-        return {
-            "leaf": {
-                "id": node.id,
-                "utilities": list(node.utilities),
-                "emission": list(node.emission),
-            }
-        }
-    if isinstance(node, Chance):
-        return {
-            "chance": {
-                "id": node.id,
-                "children": [{"p": p, "node": _node_to_doc(child)} for p, child in node.children],
-            }
-        }
-    children = OrderedMap()
-    for move, child in node.children:
-        children[move] = _node_to_doc(child)
-    return {"branch": {"id": node.id, "owner": node.owner, "children": children}}
+    """`doc` as canonical JSON text, written by one loop over a stack of
+    literal text pieces (str) and (value, indent) items still to write.
+    A container is laid out entry by entry: each run of entries written
+    inline becomes one piece, every other entry an item, and they are
+    pushed in reverse so that they pop in output order."""
+    out: list[str] = []
+    stack: list = [(doc, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        v, indent = item
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        text = _inline(v)
+        if text is not None:
+            out.append(text)
+            continue
+        if isinstance(v, (list, tuple)):
+            entries = [("", x) for x in v]
+            text, close = "[", "]"
+        elif isinstance(v, dict):
+            if not all(isinstance(k, str) for k in v):
+                raise ValidationError("document keys must be strings")
+            keys = list(v) if isinstance(v, OrderedMap) else sorted(v)
+            entries = [(_quote(k) + ": ", v[k]) for k in keys]
+            text, close = "{", "}"
+        else:
+            raise ValidationError(f"cannot serialize value of type {type(v).__name__}")
+        pieces: list = []
+        inner = "  " * (indent + 1)
+        sep = ",\n" + inner
+        text += "\n" + inner
+        for k, (key, x) in enumerate(entries):
+            if k:
+                text += sep
+            text += key
+            line = _inline(x)
+            if line is None:
+                pieces.append(text)
+                pieces.append((x, indent + 1))
+                text = ""
+            else:
+                text += line
+        pieces.append(text + "\n" + "  " * indent + close)
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def game_to_doc(tree: GameTree, alphabet, profile, costs=None) -> dict:
+    """The game document of `tree`; node documents are built over reversed
+    preorder, so each node's children are done before it."""
+    order, kids = tree.order, tree.kids
+    docs: list = [None] * len(order)
+    for v in range(len(order) - 1, -1, -1):
+        node = order[v]
+        if isinstance(node, Leaf):
+            docs[v] = {"leaf": {"id": node.id, "utilities": list(node.utilities),
+                                "emission": list(node.emission)}}
+        elif isinstance(node, Chance):
+            docs[v] = {"chance": {"id": node.id, "children": [
+                {"p": p, "node": docs[c]} for (p, _), c in zip(node.children, kids[v])]}}
+        else:
+            children = OrderedMap((move, docs[c]) for (move, _), c in zip(node.children, kids[v]))
+            docs[v] = {"branch": {"id": node.id, "owner": node.owner, "children": children}}
     doc = {
         "players": list(tree.players),
         "alphabet": list(alphabet),
-        "tree": _node_to_doc(tree.root),
+        "tree": docs[0],
         "intended": dict(profile),
     }
     if costs is not None:
@@ -124,49 +173,100 @@ def _require(doc, key, kind, where):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{where}.{key} must be a number")
-        return float(value)
+        return _to_floats((value,), f"{where}.{key}")[0]
     if not isinstance(value, kind):
         raise ValidationError(f"{where}.{key} must be {kind.__name__}")
     return value
 
 
-def _parse_numbers(values, where):
-    out = []
+def _to_floats(numbers, where) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, numbers))
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{where} must contain only finite numbers") from None
+
+
+def _parse_numbers(values, where) -> tuple[float, ...]:
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if v.__class__ is not float and (isinstance(v, bool) or not isinstance(v, (int, float))):
             raise ValidationError(f"{where} must contain only numbers")
-        out.append(float(v))
-    return out
+    return _to_floats(values, where)
 
 
-def _parse_node(doc):
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise ValidationError("each tree node must be an object with exactly one of "
-                              "'branch', 'chance', or 'leaf'")
-    kind, body = next(iter(doc.items()))
-    if kind == "leaf":
-        node_id = _require(body, "id", str, "leaf")
-        utilities = _parse_numbers(_require(body, "utilities", list, f"leaf {node_id}"), "utilities")
-        emission = _parse_numbers(_require(body, "emission", list, f"leaf {node_id}"), "emission")
-        return leaf(node_id, utilities, emission)
-    if kind == "chance":
-        node_id = _require(body, "id", str, "chance")
-        entries = _require(body, "children", list, f"chance {node_id}")
-        children = []
-        for entry in entries:
-            p = _require(entry, "p", float, f"chance {node_id} child")
-            children.append((p, _parse_node(_require(entry, "node", dict, f"chance {node_id} child"))))
-        return chance(node_id, children)
-    if kind == "branch":
-        node_id = _require(body, "id", str, "branch")
-        owner = _require(body, "owner", int, f"branch {node_id}")
-        if isinstance(owner, bool):
-            raise ValidationError(f"branch {node_id}.owner must be an integer")
-        children = _require(body, "children", dict, f"branch {node_id}")
-        if not children:
-            raise ValidationError(f"branch {node_id} has no children")
-        return branch(node_id, owner, [(move, _parse_node(sub)) for move, sub in children.items()])
-    raise ValidationError(f"unknown node kind {kind!r}")
+_NODE_SHAPE = ("each tree node must be an object with exactly one of "
+               "'branch', 'chance', or 'leaf'")
+
+_KINDS = frozenset(("leaf", "branch", "chance"))
+
+# marks a stack entry whose node's subtree has been read
+_SUBTREE_READ = object()
+
+
+def _read_tree(root, players: tuple[str, ...]) -> GameTree:
+    """The tree of a document, read in one preorder pass over an explicit
+    stack.  Each node's JSON types are checked where it is read, and its
+    values by the per-node rules of `game_core`; its position, child
+    positions, leaf number and id go straight into the preorder arrays.
+    A branch or chance node also pushes an entry beneath its children,
+    which pops once they are built and builds the node."""
+    n = len(players)
+    order: list = []
+    kids: list[list[int]] = []
+    leaf_index: list[int] = []
+    positions: dict[str, int] = {}
+    leaves: list[Leaf] = []
+    emission_len = None
+    stack: list = [(root, -1)]
+    while stack:
+        doc, parent = stack.pop()
+        if doc is _SUBTREE_READ:
+            v, kind, node_id, owner, labels = parent
+            children = tuple(zip(labels, [order[c] for c in kids[v]]))
+            order[v] = (Branch(node_id, owner, children) if kind == "branch"
+                        else Chance(node_id, children))
+            continue
+        if not isinstance(doc, dict) or len(doc) != 1:
+            raise ValidationError(_NODE_SHAPE)
+        (kind, body), = doc.items()
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown node kind {kind!r}")
+        node_id = _require(body, "id", str, kind)
+        check_new_id(positions, node_id)
+        v = positions[node_id] = len(order)
+        kids.append([])
+        leaf_index.append(-1)
+        if parent >= 0:
+            kids[parent].append(v)
+        where = f"{kind} {node_id}"
+        if kind == "leaf":
+            utilities = _parse_numbers(_require(body, "utilities", list, where), "utilities")
+            emission = _parse_numbers(_require(body, "emission", list, where), "emission")
+            emission_len = check_leaf(node_id, utilities, emission, n, emission_len)
+            node = Leaf(node_id, utilities, emission)
+            leaf_index[v] = len(leaves)
+            leaves.append(node)
+            order.append(node)
+            continue
+        order.append(None)
+        if kind == "branch":
+            owner = _require(body, "owner", int, where)
+            if isinstance(owner, bool):
+                raise ValidationError(f"{where}.owner must be an integer")
+            children = _require(body, "children", dict, where)
+            labels = tuple(map(str, children))
+            check_branch(node_id, owner, labels, n)
+            subs = children.values()
+        else:
+            owner = -1
+            labels, subs = [], []
+            for entry in _require(body, "children", list, where):
+                labels.append(_require(entry, "p", float, where + " child"))
+                subs.append(_require(entry, "node", dict, where + " child"))
+            check_chance(node_id, labels)
+        stack.append((_SUBTREE_READ, (v, kind, node_id, owner, labels)))
+        stack.extend((sub, v) for sub in reversed(subs))
+    return GameTree._from_arrays(players, tuple(order), tuple(map(tuple, kids)),
+                                 tuple(leaf_index), positions, tuple(leaves))
 
 
 def _parse_costs(raw, n, s):
@@ -183,8 +283,10 @@ def _parse_costs(raw, n, s):
                 raise ValidationError("cost entries may be numbers or 'inf', not '-inf'")
             elif isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValidationError("cost entries may be numbers or 'inf'")
+            elif v != v or v == -math.inf:
+                raise ValidationError("cost entries may be numbers or 'inf', not NaN or -inf")
             else:
-                out[i, k] = float(v)
+                out[i, k] = _to_floats((v,), "costs")[0]
     return out
 
 
@@ -203,7 +305,7 @@ def parse_game_doc(doc) -> GameDocument:
     alphabet = _require(doc, "alphabet", list, "document")
     if not alphabet or not all(isinstance(a, str) for a in alphabet):
         raise ValidationError("alphabet must be a nonempty list of symbols")
-    tree = GameTree(tuple(players), _parse_node(_require(doc, "tree", dict, "document")))
+    tree = _read_tree(_require(doc, "tree", dict, "document"), check_players(players))
     info = InfoStructure.from_tree(tree, tuple(alphabet))
     profile = _require(doc, "intended", dict, "document")
     for node_id, move in profile.items():

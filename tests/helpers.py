@@ -82,6 +82,18 @@ def random_tree(rng, n_players=2, num_symbols=3, max_nodes=12, allow_chance=True
     return GameTree(players, root)
 
 
+def chain_tree(depth):
+    """A `depth`-deep chain: branch b{d} of player d % 2 stops at leaf s{d}
+    or goes on; the last "go" reaches a chance node over two leaves.  All
+    values are exact in 12 significant digits, so documents round-trip."""
+    node = chance("end", [(0.25, leaf("e0", (0.0, 1.0), (0.5, 0.5))),
+                          (0.75, leaf("e1", (1.0, 0.0), (1.0, 0.0)))])
+    for d in reversed(range(depth)):
+        node = branch(f"b{d}", d % 2, [("stop", leaf(f"s{d}", (d % 3, d % 5), (1.0, 0.0))),
+                                       ("go", node)])
+    return GameTree(("A", "B"), node)
+
+
 def random_profile(rng, tree):
     out = {}
     for node_id in tree.branch_ids():

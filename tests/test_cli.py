@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from paymech import cli
+from paymech import PvcParams, backward_induction, build_pvc, cli, expected_utilities, jsonio
 from paymech.cli import dispatch
+
+from .helpers import chain_tree
 
 
 def run(argv, stdin_text=""):
@@ -230,7 +232,7 @@ def test_bad_inputs_exit_2(tmp_path):
 
 
 def test_deep_document_exits_2(tmp_path):
-    depth = 1500
+    depth = 10000  # about 30 000 JSON levels, beyond cli.READ_DEPTH_CAP
     head = "".join(
         f'{{"branch": {{"id": "b{d}", "owner": {d % 2}, "children": {{'
         f'"stop": {{"leaf": {{"id": "s{d}", "utilities": [1, 0], "emission": [1]}}}}, "go": '
@@ -244,6 +246,56 @@ def test_deep_document_exits_2(tmp_path):
     code, out, err = run(["spe", str(path)])
     assert code == 2 and out == ""
     assert err == "error: document nests too deeply\n"
+
+
+def test_deep_chain_document_matches_backward_induction(tmp_path):
+    # the text of helpers.chain_tree(1500), written compactly: about 4500
+    # JSON levels, past json.loads at the default recursion limit
+    depth = 1500
+    head = "".join(
+        f'{{"branch": {{"id": "b{d}", "owner": {d % 2}, "children": {{'
+        f'"stop": {{"leaf": {{"id": "s{d}", "utilities": [{d % 3}, {d % 5}], '
+        f'"emission": [1, 0]}}}}, "go": '
+        for d in range(depth)
+    )
+    end = ('{"chance": {"id": "end", "children": ['
+           '{"p": 0.25, "node": {"leaf": {"id": "e0", "utilities": [0, 1], '
+           '"emission": [0.5, 0.5]}}}, '
+           '{"p": 0.75, "node": {"leaf": {"id": "e1", "utilities": [1, 0], '
+           '"emission": [1, 0]}}}]}}')
+    text = ('{"players": ["A", "B"], "alphabet": ["x", "y"], "intended": {}, "tree": '
+            + head + end + "}}}" * depth + "}")
+    tree = chain_tree(depth)
+    assert jsonio.parse_game_doc(cli._read_doc("-", io.StringIO(text))).tree == tree
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    code, out, err = run(["spe", str(path)])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    profile = backward_induction(tree)
+    assert doc["profile"] == profile
+    assert doc["utilities"] == expected_utilities(tree, profile).tolist()
+
+
+def test_gen_deep_pvc_round_trips():
+    code, out, _ = run(["gen", "pvc", "--n", "120", "--eps", "0.5", "--u-plus", "2",
+                        "--u-minus", "-1", "--delta", "1"])
+    assert code == 0
+    params = PvcParams(n=120, eps=0.5, u_plus=2.0, u_minus=-1.0, delta=1.0)
+    assert jsonio.parse_game_doc(json.loads(out)).tree == build_pvc(params).tree
+
+
+def test_non_finite_document_exits_2(tmp_path):
+    game = tmp_path / "nan.json"
+    game.write_text('{"players": ["A"], "alphabet": ["x", "y"], "intended": {}, '
+                    '"tree": {"leaf": {"id": "end", "utilities": [1], "emission": [NaN, NaN]}}}')
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"alphabet": ["x", "y"], "lambda": [[0, 0]]}))
+    for argv in (["spe", game], ["simulate", game, scheme, "--trials", "10"],
+                 ["verify", game, scheme, "--delta", "0"]):
+        code, out, err = run([str(a) for a in argv])
+        assert (code, out) == (2, ""), argv
+        assert err == "error: leaf 'end' emission pdf sums to nan\n"
 
 
 def test_out_of_memory_exits_3(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tree construction, indexing, induction, and profile plumbing."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -140,6 +141,19 @@ def test_bad_chance_probabilities_rejected():
             (0.5, leaf("a", (1.0,), (1.0,))),
             (0.4, leaf("b", (2.0,), (1.0,))),
         ]))
+
+
+def test_non_finite_values_rejected():
+    ok = leaf("ok", (0.0,), (1.0,))
+    with pytest.raises(BadProbabilitySum):
+        GameTree(("A",), leaf("x", (0.0,), (math.nan, math.nan)))
+    with pytest.raises(BadProbabilitySum):
+        GameTree(("A",), branch("r", 0, [("a", ok), ("b", leaf("x", (0.0,), (math.inf,)))]))
+    with pytest.raises(BadProbabilitySum):
+        GameTree(("A",), chance("c", [(math.nan, leaf("x", (0.0,), (1.0,))), (1.0, ok)]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            GameTree(("A",), leaf("x", (bad,), (1.0,)))
 
 
 def test_check_profile_requires_every_branch_and_no_strays():

@@ -1,25 +1,88 @@
 """Canonical serialization and document parsing."""
 
+import copy
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+from paymech import cli
 from paymech import (
+    BadProbabilitySum,
+    DimensionMismatch,
+    DuplicateNodeId,
     GameDocument,
+    GameTree,
     OrderedMap,
     PaymentScheme,
     ValidationError,
+    branch,
+    chance,
     dumps_canonical,
     game_to_doc,
+    leaf,
     parse_game_doc,
     parse_scheme_doc,
     scheme_to_doc,
     utility_matrix,
 )
 
-from .helpers import random_instance
+from .helpers import chain_tree, random_instance
+
+# dumps_canonical's bytes for TestWriter.test_golden_bytes, copied from the
+# recursive writer's output before it was replaced
+GOLDEN_TEXT = "\n".join([
+    '{',
+    '  "cl\\u00e9": "key",',
+    '  "empty_dict": {},',
+    '  "empty_list": [],',
+    '  "floats": [0, "inf", "-inf", 1e-13, 0.333333333333, 123456789.123, 2],',
+    '  "matrix": [',
+    '    [1, -0.5],',
+    '    [3, 1e+20]',
+    '  ],',
+    '  "mixed": [',
+    '    1,',
+    '    [',
+    '      2,',
+    '      [',
+    '        3,',
+    '        {}',
+    '      ]',
+    '    ],',
+    '    {',
+    '      "j": [0.5],',
+    '      "k": []',
+    '    },',
+    '    "s",',
+    '    null,',
+    '    [],',
+    '    {},',
+    '    4',
+    '  ],',
+    '  "numpy": {',
+    '    "b": true,',
+    '    "f64": 0.25,',
+    '    "i64": -7,',
+    '    "list": [1.5, 2, false]',
+    '  },',
+    '  "ordered": {',
+    '    "zeta": 1,',
+    '    "alpha": [2]',
+    '  },',
+    '  "python": [true, false, null, 0, -12],',
+    '  "sorted": {',
+    '    "alpha": [2],',
+    '    "zeta": 1',
+    '  },',
+    '  "text": "caf\\u00e9 \\u2713 \\"q\\"\\n",',
+    '  "tuple": [1, "a", 2.5],',
+    '  "zero_d": 2.5',
+    '}',
+])
+
 
 
 class TestWriter:
@@ -65,6 +128,35 @@ class TestWriter:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):
             dumps_canonical({"v": object()})
+
+    def test_golden_bytes(self):
+        ordered = OrderedMap()
+        ordered["zeta"] = 1
+        ordered["alpha"] = [2]
+        doc = {
+            "numpy": {"f64": np.float64(0.25), "i64": np.int64(-7), "b": np.bool_(True),
+                      "list": [np.float64(1.5), np.int64(2), np.bool_(False)]},
+            "python": [True, False, None, 0, -12],
+            "floats": [-0.0, float("inf"), float("-inf"), 1e-13, 1 / 3, 123456789.123456789, 2.0],
+            "text": "café ✓ \"q\"\n",
+            "clé": "key",
+            "zero_d": np.array(2.5),
+            "matrix": np.array([[1.0, -0.5], [3.0, 1e20]]),
+            "tuple": (1, "a", 2.5),
+            "empty_list": [],
+            "empty_dict": {},
+            "ordered": ordered,
+            "sorted": {"zeta": 1, "alpha": [2]},
+            "mixed": [1, [2, [3, {}]], {"k": [], "j": np.array([0.5])}, "s", None, [], {},
+                      np.array(4)],
+        }
+        assert dumps_canonical(doc) == GOLDEN_TEXT
+        with pytest.raises(ValidationError):
+            dumps_canonical({"deep": [1, {"v": np.float64("nan")}]})
+        with pytest.raises(ValidationError):
+            dumps_canonical({"a": {1: "x"}})
+        with pytest.raises(ValidationError):
+            dumps_canonical(OrderedMap({2: "x"}))
 
     def test_output_is_valid_json(self):
         doc = {"a": [1.25, -0.0], "b": {"c": "text", "d": [True, False]}}
@@ -138,6 +230,73 @@ class TestGameDocs:
             with pytest.raises(ValidationError):
                 parse_game_doc(broken)
 
+    def test_fault_table(self):
+        # each document breaks one rule of one node; the class and the
+        # message are part of the reader's contract
+        for name, mutate, exc, message in READER_FAULTS:
+            doc = copy.deepcopy(FAULT_BASE)
+            mutate(doc)
+            with pytest.raises(ValidationError) as info:
+                parse_game_doc(doc)
+            assert (type(info.value), str(info.value)) == (exc, message), name
+
+    def test_compiled_layout_matches_code_built_tree(self, commerce, pvc):
+        cases = [
+            (commerce.tree, parse_game_doc(json.loads(dumps_canonical(game_to_doc(
+                commerce.tree, commerce.info.alphabet, commerce.profile)))).tree),
+            (pvc.tree, parse_game_doc(json.loads(dumps_canonical(game_to_doc(
+                pvc.tree, pvc.info.alphabet, pvc.profile)))).tree),
+            (_fault_base_tree(), parse_game_doc(copy.deepcopy(FAULT_BASE)).tree),
+        ]
+        for built, parsed in cases:
+            assert parsed == built
+            assert [node.id for node in parsed.order] == [node.id for node in built.order]
+            assert parsed.order == built.order
+            assert parsed.kids == built.kids
+            assert parsed.leaf_index == built.leaf_index
+            assert parsed.positions == built.positions
+            assert parsed.leaves == built.leaves
+
+    def test_non_finite_numbers_rejected(self):
+        # json.loads reads NaN, Infinity and integers beyond the float
+        # range; no game value may be any of them
+        for mutate, exc in (
+            (lambda d: _heads(d).update(emission=[math.nan, math.nan]), BadProbabilitySum),
+            (lambda d: _stay(d).update(emission=[math.nan, 1.0]), BadProbabilitySum),
+            (lambda d: _coin_p(d, math.nan), BadProbabilitySum),
+            (lambda d: _heads(d).update(utilities=[math.inf, 0]), ValidationError),
+            (lambda d: _stay(d).update(utilities=[3, math.nan]), ValidationError),
+            (lambda d: d.update(costs=[[math.nan, 0], [0, 0]]), ValidationError),
+            (lambda d: d.update(costs=[[-math.inf, 0], [0, 0]]), ValidationError),
+            (lambda d: _stay(d).update(utilities=[3, 10**400]), ValidationError),
+            (lambda d: _coin_p(d, 10**400), ValidationError),
+            (lambda d: d.update(costs=[[10**400, 0], [0, 0]]), ValidationError),
+        ):
+            doc = copy.deepcopy(FAULT_BASE)
+            mutate(doc)
+            with pytest.raises(exc):
+                parse_game_doc(json.loads(json.dumps(doc)))
+        doc = copy.deepcopy(FAULT_BASE)
+        doc["costs"] = [["inf", 1], [math.inf, 0]]
+        costs = parse_game_doc(json.loads(json.dumps(doc))).costs
+        np.testing.assert_array_equal(costs, [[math.inf, 1], [math.inf, 0]])
+
+    def test_deep_documents_write_without_recursion(self):
+        # at the default recursion limit; the canonical layout indents
+        # each level, so a 2000-deep chain's text would be ~180 MB and the
+        # round trip runs at depth 300 (the writer recursed from 109)
+        deep = []
+        for _ in range(2000):
+            deep = [{"k": deep}]
+        text = dumps_canonical(deep)
+        assert text.count("\n") == 2 * 2 * 2000 and text.endswith("\n]")
+        assert game_to_doc(chain_tree(2000), ("x", "y"), {})["tree"]["branch"]["id"] == "b0"
+        tree = chain_tree(300)
+        text = dumps_canonical(game_to_doc(tree, ("x", "y"), {}))
+        doc = parse_game_doc(cli._read_doc("-", io.StringIO(text)))
+        assert doc.tree == tree
+        assert doc.tree.kids == tree.kids and doc.tree.leaves == tree.leaves
+
     def test_leaf_number_validation(self):
         doc = {
             "players": ["A"],
@@ -193,3 +352,95 @@ def _two_leaf_parts():
 def _two_leaf_game():
     players, alphabet, tree, profile = _two_leaf_parts()
     return tree, alphabet, profile
+
+
+# a branch over a chance node and a one-move branch, the base of the
+# single-fault documents below
+FAULT_BASE = {
+    "players": ["A", "B"],
+    "alphabet": ["x", "y"],
+    "intended": {"root": "left", "reply": "stay"},
+    "tree": {"branch": {"id": "root", "owner": 0, "children": {
+        "left": {"chance": {"id": "coin", "children": [
+            {"p": 0.25, "node": {"leaf": {"id": "heads", "utilities": [1, 2], "emission": [1, 0]}}},
+            {"p": 0.75, "node": {"leaf": {"id": "tails", "utilities": [0, -1],
+                                          "emission": [0.5, 0.5]}}},
+        ]}},
+        "right": {"branch": {"id": "reply", "owner": 1, "children": {
+            "stay": {"leaf": {"id": "stay", "utilities": [3, 3], "emission": [0, 1]}},
+        }}},
+    }}},
+}
+
+
+def _fault_base_tree():
+    return GameTree(("A", "B"), branch("root", 0, [
+        ("left", chance("coin", [(0.25, leaf("heads", (1, 2), (1, 0))),
+                                 (0.75, leaf("tails", (0, -1), (0.5, 0.5)))])),
+        ("right", branch("reply", 1, [("stay", leaf("stay", (3, 3), (0, 1)))])),
+    ]))
+
+
+def _coin(d):
+    return d["tree"]["branch"]["children"]["left"]["chance"]
+
+
+def _heads(d):
+    return _coin(d)["children"][0]["node"]["leaf"]
+
+
+def _reply(d):
+    return d["tree"]["branch"]["children"]["right"]["branch"]
+
+
+def _stay(d):
+    return _reply(d)["children"]["stay"]["leaf"]
+
+
+def _coin_p(d, *probs):
+    for entry, p in zip(_coin(d)["children"], probs):
+        entry["p"] = p
+
+
+NODE_SHAPE = "each tree node must be an object with exactly one of 'branch', 'chance', or 'leaf'"
+
+READER_FAULTS = [
+    ("non-object node", lambda d: _reply(d)["children"].update(stay=["leaf"]),
+     ValidationError, NODE_SHAPE),
+    ("two keys", lambda d: _reply(d)["children"]["stay"].update(branch={}),
+     ValidationError, NODE_SHAPE),
+    ("unknown kind", lambda d: _reply(d)["children"].update(stay={"widget": {}}),
+     ValidationError, "unknown node kind 'widget'"),
+    ("missing id", lambda d: _heads(d).pop("id"),
+     ValidationError, "leaf is missing 'id'"),
+    ("non-string id", lambda d: _heads(d).update(id=7),
+     ValidationError, "leaf.id must be str"),
+    ("bool owner", lambda d: _reply(d).update(owner=True),
+     ValidationError, "branch reply.owner must be an integer"),
+    ("owner out of range", lambda d: _reply(d).update(owner=2),
+     DimensionMismatch, "branch 'reply' owner 2 out of range for 2 players"),
+    ("empty children", lambda d: _reply(d).update(children={}),
+     ValidationError, "branch reply has no children"),
+    ("non-number p", lambda d: _coin_p(d, "half"),
+     ValidationError, "chance coin child.p must be a number"),
+    ("bool p", lambda d: _coin_p(d, True),
+     ValidationError, "chance coin child.p must be a number"),
+    ("negative p", lambda d: _coin_p(d, -0.25, 1.25),
+     BadProbabilitySum, "chance node 'coin' has a negative probability"),
+    ("sum not 1", lambda d: _coin_p(d, 0.5),
+     BadProbabilitySum, "chance node 'coin' probabilities sum to 1.25"),
+    ("string utility", lambda d: _heads(d).update(utilities=[1, "two"]),
+     ValidationError, "utilities must contain only numbers"),
+    ("bool utility", lambda d: _heads(d).update(utilities=[1, False]),
+     ValidationError, "utilities must contain only numbers"),
+    ("utility count", lambda d: _stay(d).update(utilities=[3]),
+     DimensionMismatch, "leaf 'stay' has 1 utilities, expected 2"),
+    ("empty emission", lambda d: _heads(d).update(emission=[]),
+     DimensionMismatch, "leaf 'heads' has an empty emission pdf"),
+    ("emission lengths", lambda d: _stay(d).update(emission=[0, 0.5, 0.5]),
+     DimensionMismatch, "leaf 'stay' emits over 3 symbols, expected 2"),
+    ("negative emission", lambda d: _stay(d).update(emission=[-0.5, 1.5]),
+     BadProbabilitySum, "leaf 'stay' has a negative emission probability"),
+    ("duplicate id", lambda d: _stay(d).update(id="tails"),
+     DuplicateNodeId, "node id 'tails' appears more than once"),
+]
