@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConstraints, ValidationError
+from .errors import Infeasible, NoConstraints, ValidationError
 from .game_core import GameTree, StrategyProfile, utility_matrix
 from .info_structure import InfoStructure
 from .security import ConstraintSystem, SecurityParams, build_constraints
-from .synthesis import minmax_deposit
+from .synthesis import _synthesize
 
 
 def spectral_norm(mat) -> float:
@@ -33,17 +33,13 @@ class NormReport:
 
 
 def norms(mat) -> NormReport:
-    m = np.asarray(mat, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim {m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix has non-finite entries")
-    if m.size == 0:
+    two_norm = spectral_norm(mat)  # checks that mat is a finite matrix
+    a = np.abs(np.asarray(mat, dtype=np.float64))
+    if a.size == 0:
         return NormReport(0.0, 0.0, 0.0, 0.0)
-    a = np.abs(m)
     return NormReport(
         one_norm=float(a.sum(axis=0).max()),
-        two_norm=spectral_norm(m),
+        two_norm=two_norm,
         inf_norm=float(a.sum(axis=1).max()),
         max_norm=float(a.max()),
     )
@@ -80,8 +76,12 @@ def deposit_lower_bound(
     Raises NoConstraints (carrying that optimum) when the instance
     generates no security rows and the bound is undefined.
     """
-    system = build_constraints(tree, profile, params)
-    delta_g = minmax_deposit(tree, info, profile, params.t)
+    # only the right-hand side depends on delta, so one delta=0 build serves both
+    system = build_constraints(tree, profile, SecurityParams(delta=0.0, t=params.t))
+    try:
+        delta_g = float(_synthesize(tree, info, profile, system).matrix.max())
+    except Infeasible:
+        delta_g = math.inf
     if system.alpha == 0:
         raise NoConstraints("no security constraints generated", min_max_deposit=delta_g)
     au = constraint_utility_product(system, utility_matrix(tree))

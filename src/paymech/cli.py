@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (including a passing verify and a bound report),
 1 negative result (infeasible synthesis, failed verify, target not
-implementable), 2 bad input or usage (validation, JSON, file, unbounded
-program, a document nested more than READ_DEPTH_CAP levels deep), 3
-numerical failure.  A GAME or SCHEME argument of "-" reads the document
-from stdin.
+implementable), 2 bad input or usage, 3 numerical failure or out of
+memory.  Bad input is a malformed document, flag value or seed, a file
+that cannot be read, an unbounded program, or a document nested more
+than READ_DEPTH_CAP levels deep; it writes one line to stderr and
+nothing to stdout.  A GAME or SCHEME argument of "-" reads from stdin.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import argparse
 import functools
 import json
 import sys
-
-import numpy as np
 
 from . import jsonio
 from .bounds import deposit_lower_bound
@@ -143,8 +142,8 @@ def _cmd_implement(args, stdout, stderr, stdin) -> int:
     target_doc = _read_doc(args.target, stdin)
     if not isinstance(target_doc, dict) or "target_e" not in target_doc:
         raise ValidationError("target document must contain 'target_e'")
-    target = np.asarray(target_doc["target_e"], dtype=np.float64)
     u = utility_matrix(game.tree)
+    target = jsonio.read_array(target_doc["target_e"], "target_e", u.shape)
     try:
         scheme = scheme_for_target(u, target, game.info)
     except TargetNotImplementable as exc:
@@ -210,10 +209,7 @@ def _cmd_simulate(args, stdout, stderr, stdin) -> int:
         raise ValidationError("scheme and game alphabets differ")
     profile = game.profile
     if args.profile is not None:
-        raw = _read_doc(args.profile, stdin)
-        if not isinstance(raw, dict):
-            raise ValidationError("profile document must be an object mapping branch to move")
-        profile = {str(k): str(v) for k, v in raw.items()}
+        profile = jsonio.read_profile(_read_doc(args.profile, stdin), "profile document")
     result = monte_carlo(game.tree, game.info, scheme, profile, args.trials, args.seed)
     doc = {
         "trials": result.trials,
@@ -236,9 +232,9 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise ValidationError(f"{flag} expects comma-separated numbers, got {text!r}")
 
 
-def _parse_json_array(text: str, flag: str):
+def _parse_json_array(text: str, flag: str, shape):
     try:
-        return json.loads(text)
+        return jsonio.read_array(json.loads(text), flag, shape)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{flag} expects a JSON array: {exc}")
 
@@ -261,9 +257,9 @@ def _cmd_gen(args, stdout, stderr, stdin) -> int:
             f"conservative threshold {inst.conservative_threshold:.6g})\n"
         )
     elif args.kind == "from-lp":
-        a = _parse_json_array(args.a, "--a")
-        b = _parse_json_array(args.b, "--b")
-        c = _parse_json_array(args.c, "--c")
+        a = _parse_json_array(args.a, "--a", (None, None))
+        b = _parse_json_array(args.b, "--b", (None,))
+        c = _parse_json_array(args.c, "--c", (None,))
         inst = lp_to_game(a, b, c)
         doc = jsonio.game_to_doc(inst.tree, inst.info.alphabet, inst.profile, costs=inst.costs)
     else:  # ala

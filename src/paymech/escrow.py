@@ -47,7 +47,9 @@ def _sample_index(probs, rng) -> int:
     return min(bisect_right(edges, r), len(edges) - 1)
 
 
-def _check_instance(tree, info, scheme):
+def _check_instance(tree, info, scheme, seed):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadParameters(f"seed must be a nonnegative integer, got {seed!r}")
     if info.m != tree.m:
         raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
     if scheme.n != tree.n or scheme.s != info.s:
@@ -64,7 +66,7 @@ def run_episode(
     seed: int,
 ) -> Episode:
     """Play one episode under the profile with a seeded generator."""
-    _check_instance(tree, info, scheme)
+    _check_instance(tree, info, scheme, seed)
     j, symbol_index = _play(tree, check_profile(tree, profile), np.random.default_rng(seed))
     lf = tree.leaves[j]
     deposits = scheme.max_deposits
@@ -125,7 +127,7 @@ def monte_carlo(
     order from one `default_rng(seed)`; trial 0 is `run_episode(seed)`."""
     if trials < 1:
         raise BadParameters(f"trials must be >= 1, got {trials}")
-    _check_instance(tree, info, scheme)
+    _check_instance(tree, info, scheme, seed)
     chosen = check_profile(tree, profile)
 
     rng = np.random.default_rng(seed)

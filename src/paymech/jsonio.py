@@ -13,6 +13,9 @@ rules of `game_core`, its values, and fills the tree's preorder arrays
 as it goes, so the tree is not walked a second time to compile it.  The
 writer is one loop over a stack of literal text pieces and values still
 to be written.
+
+Every number array and profile from outside, in a document or a flag,
+is read by `read_array` or `read_profile`.
 """
 
 from __future__ import annotations
@@ -193,6 +196,36 @@ def _parse_numbers(values, where) -> tuple[float, ...]:
     return _to_floats(values, where)
 
 
+def read_array(raw, where, shape, inf=False) -> np.ndarray:
+    """The float array of the nested JSON lists `raw`, one level per entry
+    of `shape` (an int fixes that axis's size, None leaves it free): rows
+    nonempty and rectangular, values finite numbers and not bools, or with
+    `inf` also the token "inf" or +Infinity, read as +inf."""
+    level, dims = [raw], []
+    for size in shape:
+        width = len(level[0]) if level[0].__class__ is list else 0
+        if not width or size not in (None, width) or any(
+                row.__class__ is not list or len(row) != width for row in level):
+            spelled = ", ".join(str(n or "any") for n in shape)
+            raise ValidationError(f"{where} must be a nonempty array of shape ({spelled})")
+        dims.append(width)
+        level = [v for row in level for v in row]
+    if inf:
+        level = [math.inf if v == "inf" else v for v in level]
+    out = np.array(_parse_numbers(level, where)).reshape(dims)
+    allowed = np.isfinite(out) | (np.isposinf(out) if inf else False)
+    if not allowed.all():
+        raise ValidationError(f"{where} must not contain NaN or {'-inf' if inf else 'an infinity'}")
+    return out
+
+
+def read_profile(raw, where) -> dict:
+    """A strategy profile: a JSON object mapping branch ids to move names."""
+    if not isinstance(raw, dict) or not all(isinstance(x, str) for kv in raw.items() for x in kv):
+        raise ValidationError(f"{where} must be an object mapping branch ids to move names")
+    return dict(raw)
+
+
 _NODE_SHAPE = ("each tree node must be an object with exactly one of "
                "'branch', 'chance', or 'leaf'")
 
@@ -269,27 +302,6 @@ def _read_tree(root, players: tuple[str, ...]) -> GameTree:
                                  tuple(leaf_index), positions, tuple(leaves))
 
 
-def _parse_costs(raw, n, s):
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ValidationError(f"costs must be a {n}x{s} array")
-    out = np.zeros((n, s))
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != s:
-            raise ValidationError(f"costs must be a {n}x{s} array")
-        for k, v in enumerate(row):
-            if v == "inf":
-                out[i, k] = np.inf
-            elif v == "-inf":
-                raise ValidationError("cost entries may be numbers or 'inf', not '-inf'")
-            elif isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValidationError("cost entries may be numbers or 'inf'")
-            elif v != v or v == -math.inf:
-                raise ValidationError("cost entries may be numbers or 'inf', not NaN or -inf")
-            else:
-                out[i, k] = _to_floats((v,), "costs")[0]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class GameDocument:
     tree: GameTree
@@ -307,14 +319,10 @@ def parse_game_doc(doc) -> GameDocument:
         raise ValidationError("alphabet must be a nonempty list of symbols")
     tree = _read_tree(_require(doc, "tree", dict, "document"), check_players(players))
     info = InfoStructure.from_tree(tree, tuple(alphabet))
-    profile = _require(doc, "intended", dict, "document")
-    for node_id, move in profile.items():
-        if not isinstance(node_id, str) or not isinstance(move, str):
-            raise ValidationError("intended must map branch ids to move names")
-    costs = None
-    if "costs" in doc:
-        costs = _parse_costs(doc["costs"], tree.n, len(alphabet))
-    return GameDocument(tree=tree, info=info, profile=dict(profile), costs=costs)
+    profile = read_profile(_require(doc, "intended", dict, "document"), "intended")
+    shape = (tree.n, len(alphabet))
+    costs = read_array(doc["costs"], "costs", shape, inf=True) if "costs" in doc else None
+    return GameDocument(tree=tree, info=info, profile=profile, costs=costs)
 
 
 def scheme_to_doc(alphabet, scheme: PaymentScheme) -> dict:
@@ -329,11 +337,5 @@ def parse_scheme_doc(doc) -> tuple[tuple[str, ...], PaymentScheme]:
     alphabet = _require(doc, "alphabet", list, "document")
     if not alphabet or not all(isinstance(a, str) for a in alphabet):
         raise ValidationError("alphabet must be a nonempty list of symbols")
-    raw = _require(doc, "lambda", list, "document")
-    if not raw or not all(isinstance(row, list) for row in raw):
-        raise ValidationError("lambda must be a 2D array")
-    rows = [_parse_numbers(row, "lambda") for row in raw]
-    width = len(rows[0])
-    if any(len(row) != width for row in rows) or width != len(alphabet):
-        raise ValidationError("lambda must be rectangular with one column per symbol")
-    return tuple(alphabet), PaymentScheme(np.array(rows))
+    lam = read_array(_require(doc, "lambda", list, "document"), "lambda", (None, len(alphabet)))
+    return tuple(alphabet), PaymentScheme(lam)

@@ -36,7 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch
-from .game_core import Branch, GameTree, Leaf, StrategyProfile, utility_matrix
+from .game_core import Branch, GameTree, Leaf, StrategyProfile, check_profile, utility_matrix
 from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
 
 SLACK_TOL = 1e-9
@@ -157,7 +157,7 @@ def build_constraints(
     n = tree.n
     if params.t > n:
         raise BadParameters(f"coalition bound t={params.t} exceeds {n} players")
-    chosen = tree.resolve(profile)
+    chosen = check_profile(tree, profile)
     order, kids = tree.order, tree.kids
     coalitions = [c for size in range(1, params.t + 1) for c in combinations(range(n), size)]
     # the distinct honest outcomes (support leaves, their weights), numbered

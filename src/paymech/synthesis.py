@@ -21,7 +21,7 @@ from .errors import (
     NumericalBreakdown,
     Unbounded,
 )
-from .game_core import GameTree, StrategyProfile, check_profile, honest_outcome, utility_matrix
+from .game_core import GameTree, StrategyProfile, honest_outcome, utility_matrix
 from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
 from .security import SecurityParams, build_constraints
 from .simplex import LinearProgram, solve
@@ -56,10 +56,6 @@ class SynthesisOptions:
 
 def _cost_matrix(cost, n, s):
     arr = np.asarray(cost, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape[0] != n * s:
-            raise DimensionMismatch(f"cost vector must have {n * s} entries, got {arr.shape[0]}")
-        arr = arr.reshape(n, s)
     if arr.shape != (n, s):
         raise DimensionMismatch(f"cost must be {n}x{s}, got {arr.shape}")
     if np.any(np.isnan(arr)) or np.any(np.isneginf(arr)):
@@ -83,17 +79,21 @@ def synthesize(
     re-verification.
     """
     opts = opts if opts is not None else SynthesisOptions()
-    check_profile(tree, profile)
+    cost_mat = None if cost is None else _cost_matrix(cost, tree.n, info.s)
+    if opts.objective == OBJ_WEIGHTED and cost_mat is None:
+        raise BadParameters("weighted_cost objective requires a cost matrix")
+    system = build_constraints(tree, profile, params)
+    return _synthesize(tree, info, profile, system, cost_mat, opts)
+
+
+def _synthesize(tree, info, profile, system, cost_mat=None, opts=SynthesisOptions()):
+    """`synthesize` over the rows of `system`, for callers that hold them
+    already; the solution is re-verified against the same rows."""
     if info.m != tree.m:
         raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
     n, s = tree.n, info.s
-    cost_mat = None if cost is None else _cost_matrix(cost, n, s)
-    if opts.objective == OBJ_WEIGHTED and cost_mat is None:
-        raise BadParameters("weighted_cost objective requires a cost vector")
-
     minmax = opts.objective == OBJ_MINMAX
     nv = n * s + (1 if minmax else 0)
-    system = build_constraints(tree, profile, params)
     u = utility_matrix(tree)
 
     g_blocks, h_blocks = [], []
@@ -181,9 +181,9 @@ def minmax_deposit(tree: GameTree, info: InfoStructure, profile: StrategyProfile
     and reports the largest payment entry; +inf when even that program
     is infeasible.
     """
-    params = SecurityParams(delta=0.0, t=t)
+    system = build_constraints(tree, profile, SecurityParams(delta=0.0, t=t))
     try:
-        scheme = synthesize(tree, info, profile, params, opts=SynthesisOptions(objective=OBJ_MINMAX))
+        scheme = _synthesize(tree, info, profile, system)
     except Infeasible:
         return math.inf
     return float(scheme.matrix.max())

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -328,3 +329,172 @@ def test_pipe_game_into_synth(tmp_path):
     code, out, _ = run(["synth", "-", "--delta", "100"], stdin_text=game.read_text())
     assert code == 0
     assert json.loads(out)["max_deposits"][0] > 0
+
+
+def test_stray_intended_id_fails_alike(tmp_path):
+    # verify reads the intended profile by the same check as synth, bound
+    # and simulate
+    doc = json.loads(gen_commerce(tmp_path).read_text())
+    doc["intended"]["bogus"] = "x"
+    game = tmp_path / "stray.json"
+    game.write_text(json.dumps(doc))
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"alphabet": doc["alphabet"], "lambda": [[0, 0, 0], [0, 0, 0]]}))
+    want = (2, "", "error: profile names 'bogus', which is not a branch of this tree\n")
+    for argv in (["synth", game, "--delta", "1"], ["verify", game, scheme, "--delta", "1"],
+                 ["bound", game, "--delta", "1"], ["simulate", game, scheme]):
+        assert run([str(a) for a in argv]) == want, argv[0]
+
+
+# The fault table: every subcommand against every kind of malformed
+# input.  The valid documents below (moves named "0" and "1", so that a
+# profile value 1 read as the string "1" would name a move) are written
+# to GAME, SCHEME, TARGET and PROFILE; each case replaces one of them or
+# one flag value.
+FAULT_FILES = {
+    "GAME": {
+        "players": ["A", "B"],
+        "alphabet": ["x", "y"],
+        "intended": {"root": "0"},
+        "tree": {"branch": {"id": "root", "owner": 0, "children": {
+            "0": {"leaf": {"id": "stay", "utilities": [1, 1], "emission": [1, 0]}},
+            "1": {"chance": {"id": "coin", "children": [
+                {"p": 0.5, "node": {"leaf": {"id": "win", "utilities": [2, 0],
+                                             "emission": [0, 1]}}},
+                {"p": 0.5, "node": {"leaf": {"id": "lose", "utilities": [0, 2],
+                                             "emission": [0.5, 0.5]}}},
+            ]}},
+        }}},
+    },
+    "SCHEME": {"alphabet": ["x", "y"], "lambda": [[0, 2], [0, 0]]},
+    "TARGET": {"target_e": [[1, 2, 0], [1, 0, 2]]},
+    "PROFILE": {"root": "1"},
+}
+
+FAULT_COMMANDS = {
+    "synth": ["synth", "GAME", "--delta", "0"],
+    "verify": ["verify", "GAME", "SCHEME", "--delta", "0"],
+    "implement": ["implement", "GAME", "--target", "TARGET"],
+    "bound": ["bound", "GAME", "--delta", "0"],
+    "spe": ["spe", "GAME"],
+    "simulate": ["simulate", "GAME", "SCHEME", "--trials", "5"],
+}
+PROFILED = ("synth", "verify", "bound", "simulate")  # the commands that read `intended`
+SIMULATE_PROFILE = FAULT_COMMANDS["simulate"] + ["--profile", "PROFILE"]
+
+
+def _stay(doc):
+    return doc["tree"]["branch"]["children"]["0"]["leaf"]
+
+
+def _with(name, mutate):
+    doc = json.loads(json.dumps(FAULT_FILES[name]))
+    mutate(doc)
+    return doc
+
+
+GAME_FAULTS = {
+    "not JSON": "{",
+    "not an object": [],
+    "string utility": _with("GAME", lambda d: _stay(d).update(utilities=[1, "1"])),
+    "bool utility": _with("GAME", lambda d: _stay(d).update(utilities=[1, True])),
+    "utility beyond the float range": _with("GAME", lambda d: _stay(d).update(
+        utilities=[1, 10**400])),
+    "NaN emission": _with("GAME", lambda d: _stay(d).update(emission=[math.nan, 1])),
+    "non-string intended move": _with("GAME", lambda d: d.update(intended={"root": 0})),
+    "costs -inf token": _with("GAME", lambda d: d.update(costs=[["-inf", 0], [0, 0]])),
+    "costs -Infinity": _with("GAME", lambda d: d.update(costs=[[-math.inf, 0], [0, 0]])),
+    "costs NaN": _with("GAME", lambda d: d.update(costs=[[math.nan, 0], [0, 0]])),
+    "costs bool": _with("GAME", lambda d: d.update(costs=[[True, 0], [0, 0]])),
+    "costs ragged": _with("GAME", lambda d: d.update(costs=[[0, 0], [0]])),
+    "costs wrong shape": _with("GAME", lambda d: d.update(costs=[[0, 0, 0], [0, 0, 0]])),
+}
+SCHEME_FAULTS = {
+    "string": [[0, "2"], [0, 0]],
+    "bool": [[0, True], [0, 0]],
+    "ragged": [[0, 2], [0]],
+    "empty": [],
+    "empty rows": [[], []],
+    "wrong width": [[0, 2, 1], [0, 0, 1]],
+    "NaN": [[0, math.nan], [0, 0]],
+    "Infinity": [[0, math.inf], [0, 0]],
+    "beyond the float range": [[0, 10**400], [0, 0]],
+}
+TARGET_FAULTS = {
+    "string": {"target_e": ["a", 1, 2]},
+    "ragged": {"target_e": [[1, 2, 0], [1, 0]]},
+    "beyond the float range": {"target_e": [[10**400, 2, 0], [1, 0, 2]]},
+    "true": {"target_e": [[True, 2, 0], [1, 0, 2]]},
+    "NaN": {"target_e": [[math.nan, 2, 0], [1, 0, 2]]},
+    "wrong shape": {"target_e": [[1, 2], [1, 0]]},
+    "missing": {"target": [[1, 2, 0], [1, 0, 2]]},
+    "not an object": [[1, 2, 0], [1, 0, 2]],
+}
+PROFILE_FAULTS = {
+    "int move": {"root": 1},
+    "bool move": {"root": True},
+    "null move": {"root": None},
+    "not an object": [["root", "1"]],
+    "stray id": {"root": "1", "bogus": "x"},
+}
+LP = {"--a": "[[1, 1]]", "--b": "[1]", "--c": "[1, 2]"}
+FROM_LP = ["gen", "from-lp", "--a", LP["--a"], "--b", LP["--b"], "--c", LP["--c"]]
+LP_FAULTS = [
+    ("--a", '[[1, "a"]]'), ("--a", '"x"'), ("--a", "[[1, 1], [1]]"), ("--a", "[[true, 1]]"),
+    ("--a", "[]"), ("--a", "[[]]"), ("--a", "[[1e400, 1]]"), ("--a", "nope"),
+    ("--a", "[[-1, 1]]"), ("--b", "[[1]]"), ("--b", "[1, 2]"), ("--c", '{"a": 1}'),
+    ("--c", "[[1, 2]]"),
+]
+
+
+def _fault_cases():
+    cases = []
+    for fault, doc in GAME_FAULTS.items():
+        for name, argv in FAULT_COMMANDS.items():
+            cases.append(pytest.param(argv, {"GAME": doc}, id=f"{name} game {fault}"))
+    stray = _with("GAME", lambda d: d["intended"].update(bogus="x"))
+    for name in PROFILED:
+        cases.append(pytest.param(FAULT_COMMANDS[name], {"GAME": stray}, id=f"{name} stray id"))
+    for fault, lam in SCHEME_FAULTS.items():
+        scheme = _with("SCHEME", lambda d: d.update({"lambda": lam}))
+        for name in ("verify", "simulate"):
+            cases.append(pytest.param(FAULT_COMMANDS[name], {"SCHEME": scheme},
+                                      id=f"{name} lambda {fault}"))
+    for fault, doc in TARGET_FAULTS.items():
+        cases.append(pytest.param(FAULT_COMMANDS["implement"], {"TARGET": doc},
+                                  id=f"implement target_e {fault}"))
+    for fault, doc in PROFILE_FAULTS.items():
+        cases.append(pytest.param(SIMULATE_PROFILE, {"PROFILE": doc}, id=f"--profile {fault}"))
+    cases.append(pytest.param(FAULT_COMMANDS["simulate"] + ["--seed", "-1"], {}, id="--seed -1"))
+    for flag, value in LP_FAULTS:
+        argv = list(FROM_LP)
+        argv[argv.index(flag) + 1] = value
+        cases.append(pytest.param(argv, {}, id=f"from-lp {flag} {value}"))
+    for argv in (["gen", "ala", "--damages", "1,x"], ["gen", "ala", "--damages", "1,nan"],
+                 ["gen", "pvc", "--n", "2", "--eps", "0.5", "--u-plus", "x", "--u-minus", "-1",
+                  "--delta", "1"],
+                 ["gen", "commerce", "--x", "10", "--xprime", "50", "--eps", "0.1"]):
+        cases.append(pytest.param(argv, {}, id=" ".join(argv[:3])))
+    return cases
+
+
+def _fault_argv(tmp_path, argv, files):
+    paths = {}
+    for name, doc in {**FAULT_FILES, **files}.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        paths[name] = str(path)
+    return [paths.get(a, a) for a in argv]
+
+
+def test_fault_table_documents_are_valid(tmp_path):
+    for argv in [*FAULT_COMMANDS.values(), SIMULATE_PROFILE, FROM_LP]:
+        code, out, err = run(_fault_argv(tmp_path, argv, {}))
+        assert code in (0, 1) and out and "error" not in err, argv
+
+
+@pytest.mark.parametrize("argv, files", _fault_cases())
+def test_fault_table(tmp_path, argv, files):
+    code, out, err = run(_fault_argv(tmp_path, argv, files))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err

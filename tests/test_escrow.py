@@ -103,6 +103,15 @@ def test_trial_count_validation(commerce_inst):
         monte_carlo(inst.tree, inst.info, inst.scheme, inst.profile, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5])
+def test_seed_validation(commerce_inst, seed):
+    inst = commerce_inst
+    with pytest.raises(BadParameters):
+        run_episode(inst.tree, inst.info, inst.scheme, inst.profile, seed=seed)
+    with pytest.raises(BadParameters):
+        monte_carlo(inst.tree, inst.info, inst.scheme, inst.profile, trials=5, seed=seed)
+
+
 def test_shape_checks(commerce_inst):
     inst = commerce_inst
     wrong = PaymentScheme(np.zeros((3, 3)))

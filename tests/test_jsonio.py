@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from paymech import cli
+from paymech.jsonio import read_array, read_profile
 from paymech import (
     BadProbabilitySum,
     DimensionMismatch,
@@ -224,6 +225,12 @@ class TestGameDocs:
             lambda d: d.update(costs=[[1, 2]]),
             lambda d: d.update(costs=[["-inf", 0, 0]]),
             lambda d: d.update(costs=[["huge", 0, 0]]),
+            lambda d: d.update(costs=[[True, 0, 0]]),
+            lambda d: d.update(costs=[[1, 0, 0], [0, 0]]),
+            lambda d: d.update(costs=[[]]),
+            lambda d: d.update(costs={"A": [0, 0, 0]}),
+            lambda d: d.update(intended=[]),
+            lambda d: d.update(intended={"root": None}),
         ):
             broken = json.loads(dumps_canonical(good))
             mutate(broken)
@@ -330,6 +337,57 @@ class TestSchemeDocs:
             parse_scheme_doc({"alphabet": ["a", "b"], "lambda": [[1.0, 2.0], [1.0]]})
         with pytest.raises(ValidationError):
             parse_scheme_doc({"lambda": [[0.0]]})
+        for lam in ([[]], [["1"]], [[True]], [[math.nan]], [[math.inf]], [["inf"]],
+                    [[10**400]], [[[1.0]]], [1.0], "x"):
+            with pytest.raises(ValidationError):
+                parse_scheme_doc({"alphabet": ["a"], "lambda": lam})
+
+
+# (id, call of a reader, the value it returns, or None when it must
+# raise ValidationError)
+READERS = [
+    ("costs keep the inf token", lambda: read_array([["inf", 1]], "costs", (1, 2), inf=True),
+     [[math.inf, 1.0]]),
+    ("costs keep Infinity", lambda: read_array([[math.inf, 2.5]], "costs", (1, 2), inf=True),
+     [[math.inf, 2.5]]),
+    ("free axes", lambda: read_array([[1, 2.5], [3, 4]], "m", (None, None)), [[1, 2.5], [3, 4]]),
+    ("vector", lambda: read_array([0, -1e300], "v", (2,)), [0.0, -1e300]),
+    ("-inf token in costs", lambda: read_array([["-inf"]], "costs", (1, 1), inf=True), None),
+    ("-Infinity in costs", lambda: read_array([[-math.inf]], "costs", (1, 1), inf=True), None),
+    ("NaN in costs", lambda: read_array([[math.nan]], "costs", (1, 1), inf=True), None),
+    ("Infinity without inf", lambda: read_array([[math.inf]], "m", (1, 1)), None),
+    ("inf token without inf", lambda: read_array([["inf"]], "m", (1, 1)), None),
+    ("NaN", lambda: read_array([math.nan], "v", (None,)), None),
+    ("bool", lambda: read_array([[True, 1]], "m", (None, None)), None),
+    ("string", lambda: read_array([[1, "a"]], "m", (None, None)), None),
+    ("ragged", lambda: read_array([[1, 1], [1]], "m", (None, None)), None),
+    ("empty", lambda: read_array([], "v", (None,)), None),
+    ("empty row", lambda: read_array([[]], "m", (None, None)), None),
+    ("beyond the float range", lambda: read_array([[10**400]], "m", (None, None)), None),
+    ("wrong fixed size", lambda: read_array([[1, 2]], "m", (None, 3)), None),
+    ("too deep", lambda: read_array([[1], [2]], "v", (None,)), None),
+    ("too shallow", lambda: read_array([1, 2], "m", (None, None)), None),
+    ("not a list", lambda: read_array({"a": 1}, "v", (None,)), None),
+    ("profile", lambda: read_profile({"root": "send"}, "intended"), {"root": "send"}),
+    ("empty profile", lambda: read_profile({}, "intended"), {}),
+    ("non-string profile value", lambda: read_profile({"root": 1}, "intended"), None),
+    ("bool profile value", lambda: read_profile({"root": True}, "intended"), None),
+    ("non-string profile key", lambda: read_profile({1: "send"}, "intended"), None),
+    ("profile not an object", lambda: read_profile([["root", "send"]], "intended"), None),
+]
+
+
+@pytest.mark.parametrize("call, want", [pytest.param(c, w, id=i) for i, c, w in READERS])
+def test_readers(call, want):
+    if want is None:
+        with pytest.raises(ValidationError):
+            call()
+    elif isinstance(want, dict):
+        assert call() == want
+    else:
+        got = call()
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
 
 
 def _two_leaf_parts():
