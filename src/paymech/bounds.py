@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NoConstraints, ValidationError
+from .errors import NoConstraints, ValidationError
 from .game_core import GameTree, StrategyProfile, utility_matrix
 from .info_structure import InfoStructure
 from .security import ConstraintSystem, SecurityParams, build_constraints
-from .synthesis import _synthesize
+from .synthesis import _minmax_payment
 
 
 def spectral_norm(mat) -> float:
@@ -78,10 +78,7 @@ def deposit_lower_bound(
     """
     # only the right-hand side depends on delta, so one delta=0 build serves both
     system = build_constraints(tree, profile, SecurityParams(delta=0.0, t=params.t))
-    try:
-        delta_g = float(_synthesize(tree, info, profile, system).matrix.max())
-    except Infeasible:
-        delta_g = math.inf
+    delta_g = _minmax_payment(tree, info, profile, system)
     if system.alpha == 0:
         raise NoConstraints("no security constraints generated", min_max_deposit=delta_g)
     au = constraint_utility_product(system, utility_matrix(tree))

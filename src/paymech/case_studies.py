@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameters
+from .errors import BadParameters, NumericalBreakdown
 from .game_core import GameTree, branch, chance, leaf, utility_matrix
 from .info_structure import InfoStructure, PaymentScheme, scheme_diagnostics
 
@@ -242,7 +242,10 @@ def build_pvc(params: PvcParams, collapse: bool = True) -> PvcInstance:
         target_e[i - 1, 2 * (i - 1)] = -delta
         target_e[i - 1, 2 * i - 1] = -delta
 
-    lam = np.linalg.solve(collapsed_info.phi.T, (u - target_e).T).T
+    try:
+        lam = np.linalg.solve(collapsed_info.phi.T, (u - target_e).T).T
+    except np.linalg.LinAlgError:  # a subnormal eps underflows the pivots
+        raise NumericalBreakdown(f"emission matrix is singular at eps={eps!r}") from None
     scheme = PaymentScheme(lam)
     diagnostics = scheme_diagnostics(scheme)
 

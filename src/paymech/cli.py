@@ -16,6 +16,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import jsonio
 from .bounds import deposit_lower_bound
 from .case_studies import (
@@ -376,7 +378,10 @@ def dispatch(argv=None, stdout=None, stderr=None, stdin=None) -> int:
     commands = {"synth": _cmd_synth, "verify": _cmd_verify, "implement": _cmd_implement,
                 "bound": _cmd_bound, "spe": _cmd_spe, "simulate": _cmd_simulate, "gen": _cmd_gen}
     try:
-        return commands[args.command](args, stdout, stderr, stdin)
+        # an overflow or underflow warning would add lines to stderr; every
+        # result is range-checked where it is built or written instead
+        with np.errstate(all="ignore"):
+            return commands[args.command](args, stdout, stderr, stdin)
     except (Infeasible, TargetNotImplementable, NotLeftInvertible) as exc:
         stderr.write(f"no solution: {exc}\n")
         return 1

@@ -10,14 +10,15 @@ utility matrix and of the emission matrix everywhere else in the
 package.  The number belongs to the compiled tree, not to the `Leaf`,
 so one leaf object can sit at different places in different trees.
 
-Construction validates the tree and compiles it, in one iterative pass,
-into preorder arrays: `order[v]` is the node at preorder position v,
+Every tree is laid out and validated by one function, `_assemble`, from
+the flat preorder list of `_structure`: each leaf itself, each branch or
+chance node as its kind, id, owner and child labels.  Trees built in
+code, pickled or copied trees and the document reader in `jsonio` all
+pass such a list.  `_assemble` checks each entry with the per-node rules
+(`check_new_id`, `check_leaf`, `check_branch`, `check_chance`) and fills
+the preorder arrays: `order[v]` is the node at preorder position v,
 `kids[v]` its child positions and `leaf_index[v]` its leaf number (-1
-at other nodes).  Each node is checked by one of the per-node rules
-(`check_new_id`, `check_leaf`, `check_branch`, `check_chance`).  The
-document reader in `jsonio` applies the same rules as it reads a game
-document and fills these arrays itself, so a tree compiled from a
-document is not walked again.  Each call resolves a strategy profile once into
+at other nodes).  Each call resolves a strategy profile once into
 `chosen`, the chosen child position of every branch.  The analyses are
 four loops over these arrays, none recursive:
 - the top-down spread `GameTree.reach`, which yields leaf numbers
@@ -113,17 +114,19 @@ Node = Union[Branch, Chance, Leaf]
 
 def _structure(root: Node) -> tuple:
     """Every node under `root` in preorder, as its own fields: a leaf
-    itself, another node its type, id, owner and child labels.  Equal
-    exactly when the nested trees are."""
+    itself, another node its type, id, owner (-1 for chance) and child
+    labels.  Equal exactly when the nested trees are."""
     out, stack = [], [root]
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
             out.append(node)
-        else:
+        elif isinstance(node, (Branch, Chance)):
             out.append((type(node), node.id, getattr(node, "owner", -1),
                         tuple(k for k, _ in node.children)))
             stack.extend(child for _, child in reversed(node.children))
+        else:
+            raise ValidationError(f"unknown node type {type(node).__name__}")
     return tuple(out)
 
 
@@ -149,8 +152,9 @@ class GameTree:
     probabilities and leaf emissions must be distributions, utility
     vectors must be finite and match the player count, and all leaves
     must emit over the same symbol count.  Leaves are numbered
-    depth-first.  Pickling and deepcopy go through the flat `_structure`
-    list, so deep trees do not recurse.
+    depth-first.  `root` is rebuilt, equal to the root passed in but not
+    the same object.  Pickling and deepcopy go through the flat
+    `_structure` list, so deep trees do not recurse.
     """
 
     players: tuple[str, ...]
@@ -163,25 +167,25 @@ class GameTree:
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        players = check_players(self.players)
-        self._install(players, self.root, _compile(self.root, len(players)))
+        self._install(check_players(self.players), _structure(self.root))
 
     @classmethod
-    def _from_arrays(cls, players, order, kids, leaf_index, positions, leaves) -> "GameTree":
-        """The tree whose preorder arrays a caller has already filled, each
-        node checked with the rules `_compile` applies (the document
-        reader); `players` is the result of `check_players`."""
+    def from_structure(cls, players: tuple[str, ...], structure) -> "GameTree":
+        """The tree whose `_structure` list this is, with `players` as
+        `check_players` returns them: the form pickles keep and the
+        document reader emits."""
         tree = object.__new__(cls)
-        tree._install(players, order[0], (order, kids, leaf_index, positions, leaves))
+        tree._install(players, structure)
         return tree
 
-    def _install(self, players, root, arrays):
+    def _install(self, players, structure):
+        arrays = _assemble(structure, len(players))
         for name, value in zip(("players", "root", "order", "kids", "leaf_index", "positions",
-                                "leaves"), (players, root, *arrays)):
+                                "leaves"), (players, arrays[0][0], *arrays)):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        return _rebuild, (self.players, _structure(self.root))
+        return GameTree.from_structure, (self.players, _structure(self.root))
 
     @property
     def nodes(self) -> dict[str, Node]:
@@ -246,21 +250,6 @@ class GameTree:
         return out
 
 
-def _rebuild(players, structure) -> GameTree:
-    """The tree whose `_structure` list this is; children are popped in
-    left-to-right order off a stack filled over the list reversed."""
-    stack: list[Node] = []
-    for item in reversed(structure):
-        if isinstance(item, Leaf):
-            stack.append(item)
-            continue
-        kind, node_id, owner, labels = item
-        children = tuple((label, stack.pop()) for label in labels)
-        stack.append(Branch(node_id, owner, children) if kind is Branch
-                     else Chance(node_id, children))
-    return GameTree(players, stack.pop())
-
-
 def check_players(players) -> tuple[str, ...]:
     """The player names as a tuple: at least one, and no name twice."""
     players = tuple(str(p) for p in players)
@@ -271,9 +260,8 @@ def check_players(players) -> tuple[str, ...]:
     return players
 
 
-# The per-node rules.  `_compile` applies them to trees built in code and
-# the document reader in `jsonio` to each node it reads; neither checks
-# a node any other way.
+# The per-node rules.  `_assemble` applies them to every tree, and no
+# node is checked any other way.
 
 def check_new_id(positions, node_id) -> None:
     if node_id in positions:
@@ -320,39 +308,42 @@ def check_chance(node_id, probs) -> None:
         raise BadProbabilitySum(f"chance node {node_id!r} probabilities sum to {total!r}")
 
 
-def _compile(root: Node, n: int):
-    """Check the tree node by node and lay it out in preorder:
-    (order, kids, leaf_index, positions, leaves)."""
-    order: list[Node] = []
-    kids: list[list[int]] = []
-    leaf_index: list[int] = []
+def _assemble(structure, n: int):
+    """Check a `_structure` list entry by entry and lay the tree out in
+    preorder: (order, kids, leaf_index, positions, leaves).  Entry v is
+    the node at position v; a branch or chance node is built from its
+    children once the last of them is placed."""
+    order = list(structure)
+    kids: list[list[int]] = [[] for _ in order]
+    leaf_index = [-1] * len(order)
     positions: dict[str, int] = {}
     leaves: list[Leaf] = []
     emission_len = None
-    stack = [(root, -1)]
-    while stack:
-        node, parent = stack.pop()
-        check_new_id(positions, node.id)
-        v = positions[node.id] = len(order)
-        order.append(node)
-        kids.append([])
-        leaf_index.append(-1)
-        if parent >= 0:
-            kids[parent].append(v)
-        if isinstance(node, Leaf):
-            emission_len = check_leaf(node.id, node.utilities, node.emission, n, emission_len)
+    parents: list[int] = []  # branch and chance nodes still taking children
+    for v, entry in enumerate(order):
+        if parents:
+            kids[parents[-1]].append(v)
+        node_id = entry.id if isinstance(entry, Leaf) else entry[1]
+        check_new_id(positions, node_id)
+        positions[node_id] = v
+        if isinstance(entry, Leaf):
+            emission_len = check_leaf(node_id, entry.utilities, entry.emission, n, emission_len)
             leaf_index[v] = len(leaves)
-            leaves.append(node)
-            continue
-        if isinstance(node, Branch):
-            check_branch(node.id, node.owner, node.moves(), n)
-        elif isinstance(node, Chance):
-            check_chance(node.id, [p for p, _ in node.children])
+            leaves.append(entry)
         else:
-            raise ValidationError(f"unknown node type {type(node).__name__}")
-        stack.extend((child, v) for _, child in reversed(node.children))
-    return (tuple(order), tuple(tuple(k) for k in kids), tuple(leaf_index), positions,
-            tuple(leaves))
+            kind, _, owner, labels = entry
+            if kind is Branch:
+                check_branch(node_id, owner, labels, n)
+            else:
+                check_chance(node_id, labels)
+            parents.append(v)
+        while parents and len(kids[parents[-1]]) == len(order[parents[-1]][3]):
+            p = parents.pop()
+            kind, node_id, owner, labels = order[p]
+            children = tuple(zip(labels, [order[c] for c in kids[p]]))
+            order[p] = (Branch(node_id, owner, children) if kind is Branch
+                        else Chance(node_id, children))
+    return (tuple(order), tuple(map(tuple, kids)), tuple(leaf_index), positions, tuple(leaves))
 
 
 def utility_matrix(tree: GameTree) -> np.ndarray:

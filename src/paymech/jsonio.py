@@ -8,11 +8,11 @@ which preserves insertion order.
 
 Neither direction recurses, so document depth is bounded only by
 `json.loads`.  The reader makes one pass over the document tree with an
-explicit stack: it checks each node's JSON types and, with the per-node
-rules of `game_core`, its values, and fills the tree's preorder arrays
-as it goes, so the tree is not walked a second time to compile it.  The
-writer is one loop over a stack of literal text pieces and values still
-to be written.
+explicit stack: it checks each node's JSON types and emits the tree's
+`_structure` list, which `GameTree.from_structure` validates and lays
+out, so every value rule and the compiled layout stay in `game_core`.
+The writer is one loop over a stack of literal text pieces and values
+still to be written.
 
 Every number array and profile from outside, in a document or a flag,
 is read by `read_array` or `read_profile`.
@@ -27,17 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .game_core import (
-    Branch,
-    Chance,
-    GameTree,
-    Leaf,
-    check_branch,
-    check_chance,
-    check_leaf,
-    check_new_id,
-    check_players,
-)
+from .game_core import Branch, Chance, GameTree, Leaf, check_players
 from .info_structure import InfoStructure, PaymentScheme
 
 _quote = json.encoder.encode_basestring_ascii  # the bytes of json.dumps(s, ensure_ascii=True)
@@ -231,75 +221,42 @@ _NODE_SHAPE = ("each tree node must be an object with exactly one of "
 
 _KINDS = frozenset(("leaf", "branch", "chance"))
 
-# marks a stack entry whose node's subtree has been read
-_SUBTREE_READ = object()
 
-
-def _read_tree(root, players: tuple[str, ...]) -> GameTree:
-    """The tree of a document, read in one preorder pass over an explicit
-    stack.  Each node's JSON types are checked where it is read, and its
-    values by the per-node rules of `game_core`; its position, child
-    positions, leaf number and id go straight into the preorder arrays.
-    A branch or chance node also pushes an entry beneath its children,
-    which pops once they are built and builds the node."""
-    n = len(players)
-    order: list = []
-    kids: list[list[int]] = []
-    leaf_index: list[int] = []
-    positions: dict[str, int] = {}
-    leaves: list[Leaf] = []
-    emission_len = None
-    stack: list = [(root, -1)]
+def _read_tree(root) -> list:
+    """The `_structure` list of a document's tree, read in one preorder
+    pass over an explicit stack; each node's JSON types are checked where
+    it is read, its values by `GameTree.from_structure`."""
+    out: list = []
+    stack = [root]
     while stack:
-        doc, parent = stack.pop()
-        if doc is _SUBTREE_READ:
-            v, kind, node_id, owner, labels = parent
-            children = tuple(zip(labels, [order[c] for c in kids[v]]))
-            order[v] = (Branch(node_id, owner, children) if kind == "branch"
-                        else Chance(node_id, children))
-            continue
+        doc = stack.pop()
         if not isinstance(doc, dict) or len(doc) != 1:
             raise ValidationError(_NODE_SHAPE)
         (kind, body), = doc.items()
         if kind not in _KINDS:
             raise ValidationError(f"unknown node kind {kind!r}")
         node_id = _require(body, "id", str, kind)
-        check_new_id(positions, node_id)
-        v = positions[node_id] = len(order)
-        kids.append([])
-        leaf_index.append(-1)
-        if parent >= 0:
-            kids[parent].append(v)
         where = f"{kind} {node_id}"
         if kind == "leaf":
             utilities = _parse_numbers(_require(body, "utilities", list, where), "utilities")
             emission = _parse_numbers(_require(body, "emission", list, where), "emission")
-            emission_len = check_leaf(node_id, utilities, emission, n, emission_len)
-            node = Leaf(node_id, utilities, emission)
-            leaf_index[v] = len(leaves)
-            leaves.append(node)
-            order.append(node)
+            out.append(Leaf(node_id, utilities, emission))
             continue
-        order.append(None)
         if kind == "branch":
             owner = _require(body, "owner", int, where)
             if isinstance(owner, bool):
                 raise ValidationError(f"{where}.owner must be an integer")
             children = _require(body, "children", dict, where)
-            labels = tuple(map(str, children))
-            check_branch(node_id, owner, labels, n)
+            out.append((Branch, node_id, owner, tuple(map(str, children))))
             subs = children.values()
         else:
-            owner = -1
             labels, subs = [], []
             for entry in _require(body, "children", list, where):
                 labels.append(_require(entry, "p", float, where + " child"))
                 subs.append(_require(entry, "node", dict, where + " child"))
-            check_chance(node_id, labels)
-        stack.append((_SUBTREE_READ, (v, kind, node_id, owner, labels)))
-        stack.extend((sub, v) for sub in reversed(subs))
-    return GameTree._from_arrays(players, tuple(order), tuple(map(tuple, kids)),
-                                 tuple(leaf_index), positions, tuple(leaves))
+            out.append((Chance, node_id, -1, tuple(labels)))
+        stack.extend(reversed(subs))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +274,9 @@ def parse_game_doc(doc) -> GameDocument:
     alphabet = _require(doc, "alphabet", list, "document")
     if not alphabet or not all(isinstance(a, str) for a in alphabet):
         raise ValidationError("alphabet must be a nonempty list of symbols")
-    tree = _read_tree(_require(doc, "tree", dict, "document"), check_players(players))
+    # arguments run left to right: the players are checked before the tree is read
+    tree = GameTree.from_structure(check_players(players),
+                                   _read_tree(_require(doc, "tree", dict, "document")))
     info = InfoStructure.from_tree(tree, tuple(alphabet))
     profile = read_profile(_require(doc, "intended", dict, "document"), "intended")
     shape = (tree.n, len(alphabet))

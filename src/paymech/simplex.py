@@ -100,17 +100,17 @@ def _pivot(tableau, row, col):
             tableau[r] -= tableau[r, col] * tableau[row]
 
 
-def _run(tableau, basis, enterable, max_iter):
+def _run(tableau, basis, max_iter):
     """Iterate to optimality with Bland's rule.
 
-    The last tableau row holds reduced costs, the last column the rhs.
-    Returns "optimal" or "unbounded".
+    The last tableau row holds reduced costs, the last column the rhs;
+    every other column may enter.  Returns "optimal" or "unbounded".
     """
     nrows = tableau.shape[0] - 1
     for _ in range(max_iter):
         enter = -1
         for j in range(tableau.shape[1] - 1):
-            if enterable[j] and tableau[-1, j] < -OPT_TOL:
+            if tableau[-1, j] < -OPT_TOL:
                 enter = j
                 break
         if enter < 0:
@@ -147,16 +147,16 @@ def solve(lp: LinearProgram) -> LpOutcome:
     a0 = np.hstack([g_all.T * signs[:, None], np.eye(d)])  # real columns, then artificials
     b0 = lp.c * signs
 
-    tableau = np.zeros((d + 1, m + d + 1))
-    tableau[:d, :-1] = a0
+    # the artificials start as the basis and never enter, so the tableau
+    # holds only the real columns; a basis entry >= m is an artificial
+    tableau = np.zeros((d + 1, m + 1))
+    tableau[:d, :-1] = a0[:, :m]
     tableau[:d, -1] = b0
     basis = list(range(m, m + d))
     # canonical phase-one objective: minimize the artificial total
     tableau[-1, :] = -tableau[:d].sum(axis=0)
-    tableau[-1, m:-1] = 0.0
-    enterable = np.arange(m + d) < m  # artificials never enter
     max_iter = 2000 + 200 * (d + m + d)
-    _run(tableau, basis, enterable, max_iter)
+    _run(tableau, basis, max_iter)
 
     if -tableau[-1, -1] > FEAS_TOL * (1.0 + np.abs(b0).max(initial=0.0)):
         # no dual point: the primal is unbounded or infeasible, and with
@@ -168,18 +168,18 @@ def solve(lp: LinearProgram) -> LpOutcome:
     # column can take its row, else its row is zero in every real column
     for r in range(d):
         if basis[r] >= m:
-            row = np.abs(tableau[r, :m])
+            row = np.abs(tableau[r, :-1])
             if row.max(initial=0.0) > PIVOT_ELIGIBLE:
                 basis[r] = int(row.argmax())
                 _pivot(tableau, r, basis[r])
 
     cost = np.concatenate([-h_all, np.zeros(d)])  # maximize h_all.y
-    tableau[-1, :-1] = cost
+    tableau[-1, :-1] = cost[:m]
     tableau[-1, -1] = 0.0
     for r, b in enumerate(basis):
         if cost[b] != 0.0:
             tableau[-1, :] -= cost[b] * tableau[r, :]
-    if _run(tableau, basis, enterable, max_iter) == "unbounded":
+    if _run(tableau, basis, max_iter) == "unbounded":
         return LpOutcome("infeasible")  # an unbounded dual ray
 
     # y and x from the final basis itself: tableau reads carry pivot drift

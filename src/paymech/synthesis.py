@@ -182,8 +182,13 @@ def minmax_deposit(tree: GameTree, info: InfoStructure, profile: StrategyProfile
     is infeasible.
     """
     system = build_constraints(tree, profile, SecurityParams(delta=0.0, t=t))
+    return _minmax_payment(tree, info, profile, system)
+
+
+def _minmax_payment(tree, info, profile, system) -> float:
+    """Largest payment of the min-max scheme over the rows of `system`,
+    +inf when no scheme satisfies them."""
     try:
-        scheme = _synthesize(tree, info, profile, system)
+        return float(_synthesize(tree, info, profile, system).matrix.max())
     except Infeasible:
         return math.inf
-    return float(scheme.matrix.max())

@@ -7,6 +7,7 @@ from paymech import (
     BadParameters,
     Chance,
     CommerceParams,
+    NumericalBreakdown,
     PvcParams,
     SecurityParams,
     backward_induction,
@@ -174,3 +175,13 @@ class TestPvc:
             PvcParams(n=2, eps=0.5, u_plus=2.0, u_minus=-1.0, delta=-0.1)
         with pytest.raises(BadParameters):
             PvcParams(n=2, eps=0.5, u_plus=(2.0, 2.0, 2.0), u_minus=-1.0, delta=1.0)
+
+    def test_subnormal_eps_is_a_numerical_failure(self):
+        # the emission matrix is singular in floating point, not in exact arithmetic
+        for eps in (1e-320, 2.2e-308):
+            for collapse in (True, False):
+                params = PvcParams(n=2, eps=eps, u_plus=2.0, u_minus=-1.0, delta=1.0)
+                with pytest.raises(NumericalBreakdown, match="emission matrix is singular"):
+                    build_pvc(params, collapse=collapse)
+        inst = build_pvc(PvcParams(n=2, eps=1e-300, u_plus=2.0, u_minus=-1.0, delta=1.0))
+        assert inst.scheme.matrix.shape == (2, 5)

@@ -3,10 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import paymech
 from paymech import PvcParams, backward_induction, build_pvc, cli, expected_utilities, jsonio
 from paymech.cli import dispatch
 
@@ -308,6 +312,28 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch):
     code, out, err = run(["spe", str(game)])
     assert code == 3 and out == ""
     assert err == "error: out of memory\n"
+
+
+def test_subnormal_pvc_eps_exits_3():
+    for extra in ([], ["--uncollapsed"]):
+        code, out, err = run(["gen", "pvc", "--n", "2", "--eps", "1e-320", "--u-plus", "2",
+                              "--u-minus", "-1", "--delta", "1", *extra])
+        assert (code, out) == (3, "")
+        assert err == "numerical failure: emission matrix is singular at eps=1e-320\n"
+
+
+def test_numpy_warnings_stay_off_stderr():
+    # a warning is printed by the interpreter, not written to dispatch's
+    # stderr argument, so only a separate process shows it
+    src = os.path.dirname(os.path.dirname(paymech.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "paymech.cli", "gen", "from-lp", "--a", "[[1e-320]]",
+         "--b", "[1]", "--c", "[1]"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: leaf 'g1_sabotage' has a non-finite utility\n"
 
 
 def test_help_exits_zero():

@@ -156,6 +156,13 @@ def test_non_finite_values_rejected():
             GameTree(("A",), leaf("x", (bad,), (1.0,)))
 
 
+def test_child_that_is_not_a_node_rejected():
+    for root in (branch("r", 0, [("l", leaf("a", (1.0,), (1.0,))), ("x", "oops")]), "oops"):
+        with pytest.raises(ValidationError) as info:
+            GameTree(("A",), root)
+        assert (type(info.value), str(info.value)) == (ValidationError, "unknown node type str")
+
+
 def test_check_profile_requires_every_branch_and_no_strays():
     tree = two_level_tree()
     check_profile(tree, {"r": "l", "rl": "x"})

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from paymech import cli
 from paymech.jsonio import read_array, read_profile
 from paymech import (
+    BadParameters,
     BadProbabilitySum,
     DimensionMismatch,
     DuplicateNodeId,
@@ -247,6 +249,21 @@ class TestGameDocs:
                 parse_game_doc(doc)
             assert (type(info.value), str(info.value)) == (exc, message), name
 
+    def test_shape_faults_come_before_value_faults(self):
+        # the reader checks JSON types over the whole tree before any value
+        # rule runs, so a later shape fault wins over an earlier value
+        # fault; the players are checked before the tree is read
+        doc = copy.deepcopy(FAULT_BASE)
+        _heads(doc).update(emission=[])
+        _stay(doc).update(utilities=[3, "three"])
+        with pytest.raises(ValidationError) as info:
+            parse_game_doc(doc)
+        assert (type(info.value), str(info.value)) == (
+            ValidationError, "utilities must contain only numbers")
+        doc["players"] = ["A", "A"]
+        with pytest.raises(BadParameters, match="player names must be unique"):
+            parse_game_doc(doc)
+
     def test_compiled_layout_matches_code_built_tree(self, commerce, pvc):
         cases = [
             (commerce.tree, parse_game_doc(json.loads(dumps_canonical(game_to_doc(
@@ -255,6 +272,8 @@ class TestGameDocs:
                 pvc.tree, pvc.info.alphabet, pvc.profile)))).tree),
             (_fault_base_tree(), parse_game_doc(copy.deepcopy(FAULT_BASE)).tree),
         ]
+        cases += [(built, twin) for built, _ in cases
+                  for twin in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built))]
         for built, parsed in cases:
             assert parsed == built
             assert [node.id for node in parsed.order] == [node.id for node in built.order]
