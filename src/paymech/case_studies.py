@@ -11,6 +11,7 @@ attributed.  Payment targets make honesty a strict equilibrium.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -123,8 +124,12 @@ def build_commerce(params: CommerceParams) -> CommerceInstance:
 
 @dataclass(frozen=True)
 class PvcParams:
-    """n parties, deterrence eps, cheat payoff u_plus (scalar or one per
-    party), exposure payoff u_minus, security margin delta"""
+    """n parties (2 to MAX_N), deterrence eps, cheat payoff u_plus (scalar
+    or one per party), exposure payoff u_minus, security margin delta"""
+
+    # every leaf emits over 2n+1 symbols, so size grows with n squared:
+    # n=1000 took about 2 s and 400 MB to build on a 2-vCPU VM
+    MAX_N: ClassVar[int] = 1000
 
     n: int
     eps: float
@@ -133,8 +138,8 @@ class PvcParams:
     delta: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise BadParameters(f"need an integer n >= 2, got {self.n}")
+        if int(self.n) != self.n or not 2 <= self.n <= self.MAX_N:
+            raise BadParameters(f"need an integer n from 2 to {self.MAX_N}, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "u_minus", float(self.u_minus))

@@ -20,16 +20,15 @@ the preorder arrays: `order[v]` is the node at preorder position v,
 `kids[v]` its child positions and `leaf_index[v]` its leaf number (-1
 at other nodes).  Each call resolves a strategy profile once into
 `chosen`, the chosen child position of every branch.  The analyses are
-four loops over these arrays, none recursive:
+three loops over these arrays, none recursive:
 - the top-down spread `GameTree.reach`, which yields leaf numbers
   (`honest_outcome`, `inducible_leaves`, and a chance node's honest
   outcome in `security.build_constraints`);
 - `_fold` over reversed preorder (`backward_induction`,
   `expected_utilities`);
-- the pass of `security.build_constraints` over reversed preorder,
-  which gives each node its honest outcome and merges each coalition's
-  reachable leaf sets;
 - the sampled path of an escrow episode.
+`security.build_constraints` loops over no other node: it copies `kids`,
+`leaf_index` and `chosen` into numpy arrays and works on those.
 """
 
 from __future__ import annotations
@@ -359,8 +358,9 @@ def emission_stack(tree: GameTree) -> np.ndarray:
 def check_profile(tree: GameTree, profile: StrategyProfile) -> list[int]:
     """Require one valid move for every branch, and no stray ids;
     returns the profile resolved by GameTree.resolve."""
+    positions, order = tree.positions, tree.order
     for nid in profile:
-        if nid not in tree.positions or not isinstance(tree.node(nid), Branch):
+        if nid not in positions or not isinstance(order[positions[nid]], Branch):
             raise UnknownNodeId(f"profile names {nid!r}, which is not a branch of this tree")
     return tree.resolve(profile)
 

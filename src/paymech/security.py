@@ -16,27 +16,39 @@ first occurrence; generation order is preorder over subgames, then
 coalition size, then coalition, then member, then leaf, so the row
 order is deterministic.
 
-`build_constraints` finds the rows in one pass over reversed preorder.
-It gives every node its honest outcome and, per coalition, the set of
-leaves the coalition can reach from it; a branch whose owner is outside
-the coalition shares its chosen child's set.  Only a subgame whose
-honest outcome differs from its parent's emits rows.  Any other one is
-followed on-profile by its parent (an outcome's support is never
-empty), so its reachable sets lie inside the parent's and each of its
-rows repeats one of the parent's.  Each reachable set lives only until
-its parent has used it.
+`build_constraints` finds the rows with array operations over the
+compiled preorder; only chance nodes are visited one by one, each for
+its honest outcome (`GameTree.reach`).  A subgame's honest outcome
+is its head's: the first leaf or chance node on the chosen path below
+it.  Only a subgame whose honest outcome differs from its parent's
+emits rows.  Any other one is followed on-profile by its parent (an
+outcome's support is never empty), so its reachable leaves lie inside
+the parent's and each of its rows repeats one of the parent's.
+
+Coalition C reaches leaf j from subgame v exactly when the deepest edge
+on the root-to-j path that C cannot take ends at or above v.  C cannot
+take a non-member branch's unchosen edge, nor the edge to a
+zero-probability chance child.  Pointer jumping over parent positions
+(`_settle`) finds that edge for every leaf and coalition at once, as it
+finds heads and the last leaf under each node.  An emitting subgame's
+deviation leaves are then a masked slice of its preorder leaf interval,
+minus its support, and `np.unique` keeps the first occurrence of each
+(player, outcome, leaf).  A `ConstraintSystem` keeps each row's subgame
+and coalition as index arrays and builds `ConstraintRow`s only when
+they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch
-from .game_core import Branch, GameTree, Leaf, StrategyProfile, check_profile, utility_matrix
+from .game_core import GameTree, StrategyProfile, check_profile, utility_matrix
 from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
 
 SLACK_TOL = 1e-9
@@ -74,7 +86,10 @@ class ConstraintSystem:
     deviation leaf `leaf[r]`.  Outcome k puts weight `support_weight[e]`
     on leaf `support_leaf[e]` for each table entry e with
     `support_outcome[e] == k`, entries grouped by outcome in leaf order.
-    Callers use `dot`, `lift` or the dense view `a`, not this layout."""
+    Row r came from the subgame at preorder position `subgame[r]` of
+    `tree` and from coalition `coalitions[coalition[r]]`; `rows` and
+    `check` build `ConstraintRow`s from these only when read.  Callers
+    use `dot`, `lift` or the dense view `a`, not this layout."""
 
     player: np.ndarray  # (alpha,) ints
     outcome: np.ndarray  # (alpha,) ints
@@ -83,7 +98,10 @@ class ConstraintSystem:
     support_leaf: np.ndarray
     support_weight: np.ndarray
     rhs: np.ndarray
-    rows: tuple[ConstraintRow, ...]
+    subgame: np.ndarray  # (alpha,) preorder positions in tree
+    coalition: np.ndarray  # (alpha,) indices into coalitions
+    coalitions: tuple[tuple[int, ...], ...]
+    tree: GameTree
     n: int
     m: int
     delta: float
@@ -91,7 +109,16 @@ class ConstraintSystem:
 
     @property
     def alpha(self) -> int:
-        return len(self.rows)
+        return len(self.player)
+
+    @cached_property
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        return tuple(map(self._row, range(self.alpha)))
+
+    def _row(self, r: int) -> ConstraintRow:
+        return ConstraintRow(self.tree.order[self.subgame[r]].id,
+                             self.coalitions[self.coalition[r]],
+                             int(self.player[r]), int(self.leaf[r]))
 
     def dot(self, x) -> np.ndarray:
         """Every row applied to x of shape (n, m), one value per row."""
@@ -119,7 +146,8 @@ class ConstraintSystem:
         the rows it violates beyond SLACK_TOL."""
         slacks = self.dot(e) - self.rhs
         slacks.setflags(write=False)
-        violations = tuple((row, float(s)) for row, s in zip(self.rows, slacks) if s < -SLACK_TOL)
+        violations = tuple((self._row(r), float(slacks[r]))
+                           for r in np.flatnonzero(slacks < -SLACK_TOL).tolist())
         return VerifyReport(not violations, slacks, violations, self)
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
@@ -151,98 +179,138 @@ def inducible_leaves(
     return frozenset(j for j, _ in tree.reach(start, tree.resolve(profile), members))
 
 
+def _settle(f: np.ndarray) -> np.ndarray:
+    """Where following the positions in `f` ends: f[f] until every entry
+    is a fixed point.  Each round doubles the steps taken, so a path of
+    length d settles in about log2(d) rounds (pointer jumping)."""
+    while True:
+        g = f[f]
+        if np.array_equal(g, f):
+            return f
+        f = g
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The ranges [start[k], start[k] + length[k]) one after another."""
+    offset = np.cumsum(length) - length
+    return np.arange(length.sum()) + np.repeat(start - offset, length)
+
+
 def build_constraints(
     tree: GameTree, profile: StrategyProfile, params: SecurityParams
 ) -> ConstraintSystem:
-    n = tree.n
+    n, m = tree.n, tree.m
     if params.t > n:
         raise BadParameters(f"coalition bound t={params.t} exceeds {n} players")
     chosen = check_profile(tree, profile)
-    order, kids = tree.order, tree.kids
-    coalitions = [c for size in range(1, params.t + 1) for c in combinations(range(n), size)]
-    # the distinct honest outcomes (support leaves, their weights), numbered
+    coalitions = tuple(c for size in range(1, params.t + 1) for c in combinations(range(n), size))
+    size = len(tree.order)
+    node = np.arange(size)
+    choice = np.array(chosen, dtype=np.intp)  # -1 off branches
+    leaf_index = np.array(tree.leaf_index, dtype=np.intp)
+    is_leaf = leaf_index >= 0
+    nkids = np.fromiter(map(len, tree.kids), np.intp, size)
+    child = np.fromiter(chain.from_iterable(tree.kids), np.intp, size - 1)
+    parent = np.zeros(size, dtype=np.intp)  # the root is its own parent
+    parent[child] = np.repeat(node, nkids)
+    # the leaves under v are lo[v]..hi[v]-1: the last one is reached by
+    # following last children
+    last = node.copy()
+    last[~is_leaf] = child[np.cumsum(nkids)[~is_leaf] - 1]
+    lo = np.cumsum(is_leaf) - is_leaf
+    hi = leaf_index[_settle(last)] + 1
+
+    # Honest outcomes.  Play from v follows chosen children down to its
+    # head, a leaf or chance node, and v's outcome is the head's.  Leaf j
+    # is outcome j; a chance node's outcome is the leaves it reaches with
+    # positive weight, numbered m, m+1, ... unless a head before it had
+    # the same leaves and weights.
+    sid = leaf_index.copy()
     ids: dict[tuple, int] = {}
-    outcomes: list[tuple] = []
-    outcome_of = [0] * len(order)  # honest outcome id of every node
-    reach: list = [None] * len(order)  # per coalition, until the parent has used them
-    targets: list[tuple[int, list]] = []  # (node, sorted deviation leaves per coalition)
-
-    def number(key) -> int:
-        if key not in ids:
-            ids[key] = len(outcomes)
-            outcomes.append(key)
-        return ids[key]
-
-    def emit(v: int) -> None:
-        support = outcomes[outcome_of[v]][0]
-        per_coalition = [sorted(s.difference(support)) for s in reach[v]]
-        if any(per_coalition):
-            targets.append((v, per_coalition))
-
-    for v in range(len(order) - 1, -1, -1):
-        node = order[v]
-        if isinstance(node, Leaf):
-            j = tree.leaf_index[v]
-            outcome_of[v] = number(((j,), (1.0,)))
-            reach[v] = [{j} for _ in coalitions]
-            continue
-        if isinstance(node, Branch):
-            outcome_of[v] = outcome_of[chosen[v]]
-            followed = [chosen[v]]
+    zero = np.zeros(size, dtype=bool)  # zero-probability chance children
+    for v in np.flatnonzero(~is_leaf & (choice < 0)).tolist():
+        # weights from the top down, as honest_outcome multiplies them
+        honest = [(j, p) for j, p in tree.reach(v, chosen) if p > 0]
+        if len(honest) == 1 and honest[0][1] == 1.0:
+            sid[v] = honest[0][0]
         else:
-            # weights from the top down, as honest_outcome multiplies them
-            honest = [(j, p) for j, p in tree.reach(v, chosen) if p > 0]
-            outcome_of[v] = number((tuple(j for j, _ in honest), tuple(p for _, p in honest)))
-            followed = [c for (q, _), c in zip(node.children, kids[v]) if q > 0]
-        for c in kids[v]:
-            # a child with v's outcome is one v follows (supports are never
-            # empty), so its rows repeat v's; a leaf reaches only its support
-            if outcome_of[c] != outcome_of[v] and not isinstance(order[c], Leaf):
-                emit(c)
-        sets = []
-        for k, coalition in enumerate(coalitions):
-            free = isinstance(node, Branch) and node.owner in coalition
-            parts = [reach[c][k] for c in (kids[v] if free else followed)]
-            # union into the largest child's set, which no other node holds
-            acc = max(parts, key=len)
-            for part in parts:
-                if part is not acc:
-                    acc |= part
-            sets.append(acc)
-        for c in kids[v]:
-            reach[c] = None
-        reach[v] = sets
-    emit(0)
+            key = (tuple(j for j, _ in honest), tuple(p for _, p in honest))
+            sid[v] = ids.setdefault(key, m + len(ids))
+        zero[[c for (q, _), c in zip(tree.order[v].children, tree.kids[v]) if not q > 0]] = True
+    sid = sid[_settle(np.where(choice >= 0, choice, node))]
+    # the support of outcome k is entries sup_start[k] .. + sup_len[k]
+    sup_len = np.array([1] * m + [len(leaves) for leaves, _ in ids], dtype=np.intp)
+    sup_start = np.cumsum(sup_len) - sup_len
+    sup_leaf = np.array([*range(m), *(j for leaves, _ in ids for j in leaves)], dtype=np.intp)
+    sup_weight = np.array([*[1.0] * m, *(p for _, weights in ids for p in weights)])
 
-    seen: set[tuple[int, int, int]] = set()
-    metadata: list[ConstraintRow] = []
-    row_outcome: list[int] = []
-    targets.sort(key=lambda item: item[0])
-    for v, per_coalition in targets:
-        sid = outcome_of[v]
-        for coalition, leaves in zip(coalitions, per_coalition):
-            for i in coalition:
-                for j in leaves:
-                    if (i, sid, j) not in seen:
-                        seen.add((i, sid, j))
-                        metadata.append(ConstraintRow(order[v].id, coalition, i, j))
-                        row_outcome.append(sid)
+    # A subgame emits rows when its outcome differs from its parent's;
+    # any other one is followed on-profile by its parent, so its rows
+    # repeat the parent's.  A leaf reaches only its own support.
+    emit = ~is_leaf & (sid != sid[parent])
+    emit[0] = True
+    sub = np.flatnonzero(emit)
+    sub_sid = sid[sub]
+
+    # Coalition C reaches leaf j from v exactly when every edge below v
+    # on the path to j is one C can take.  It cannot take a zero-
+    # probability chance edge, nor an unchosen edge of a branch whose
+    # owner is outside C.  top[k, j] is the deepest node over leaf j
+    # whose incoming edge coalition k cannot take (the root if none).
+    members = np.zeros((len(coalitions), n + 1), dtype=bool)  # column n: no owner
+    for k, coalition in enumerate(coalitions):
+        members[k, list(coalition)] = True
+    owner = np.full(size, n, dtype=np.intp)
+    branches = np.flatnonzero(choice >= 0)
+    owner[branches] = [tree.order[v].owner for v in branches.tolist()]
+    unchosen = (choice[parent] >= 0) & (choice[parent] != node)
+    blocked = zero | (unchosen & ~members[:, owner[parent]])
+    blocked[:, 0] = True
+    # coalition k's copy of node u sits at k * size + u
+    offset = np.arange(0, blocked.size, size)[:, None]
+    top = _settle((np.where(blocked, node, parent) + offset).ravel()).reshape(blocked.shape)
+    top = (top - offset)[:, is_leaf]
+    del blocked, unchosen, offset
+
+    # Candidate rows: every leaf under an emitting subgame, by subgame,
+    # then (coalition, member) slot, then leaf; kept where the slot's
+    # coalition reaches it outside the subgame's support.
+    width = hi[sub] - lo[sub]
+    seg = np.repeat(np.arange(len(sub)), width)
+    start = np.cumsum(width) - width
+    leaf = _ranges(lo[sub], width)
+    reached = top[:, leaf] <= sub[seg]
+    entries = _ranges(sup_start[sub_sid], sup_len[sub_sid])
+    at = np.repeat(np.arange(len(sub)), sup_len[sub_sid])
+    reached[:, start[at] + sup_leaf[entries] - lo[sub][at]] = False
+    slot_coalition = np.array([k for k, c in enumerate(coalitions) for _ in c], dtype=np.intp)
+    slot_player = np.array([i for c in coalitions for i in c], dtype=np.intp)
+    slot, pos = np.nonzero(reached[slot_coalition])
+    del reached, top
+    order = np.argsort(seg[pos] * len(slot_player) + slot, kind="stable")
+    slot, pos = slot[order], pos[order]
+    # deduplicated on (player, outcome, leaf), keeping the first occurrence
+    player, leaf, seg = slot_player[slot], leaf[pos], seg[pos]
+    row_sid = sub_sid[seg]
+    key = np.ravel_multi_index((player, row_sid, leaf), (n, len(sup_len), m))
+    keep = np.sort(np.unique(key, return_index=True)[1])
+    player, leaf, row_sid = player[keep], leaf[keep], row_sid[keep]
+    subgame, coalition = sub[seg[keep]], slot_coalition[slot[keep]]
+    del key, order, slot, pos, seg
+
     # renumber the outcomes the rows use, in order of first use
-    used: dict[int, int] = {}
-    row_outcome = [used.setdefault(sid, len(used)) for sid in row_outcome]
-    table = [outcomes[sid] for sid in used]
-    support_outcome = np.array([k for k, (support, _) in enumerate(table) for _ in support],
-                               dtype=np.intp)
-    support_leaf = np.array([j for support, _ in table for j in support], dtype=np.intp)
-    support_weight = np.array([w for _, weights in table for w in weights], dtype=np.float64)
-    player = np.array([row.deviator for row in metadata], dtype=np.intp)
-    leaf = np.array([row.leaf for row in metadata], dtype=np.intp)
-    rhs = np.full(len(metadata), float(params.delta))
-    arrays = (player, np.array(row_outcome, dtype=np.intp), leaf,
-              support_outcome, support_leaf, support_weight, rhs)
+    used, first_use, inverse = np.unique(row_sid, return_index=True, return_inverse=True)
+    by_use = np.argsort(first_use)
+    rank = np.empty_like(by_use)
+    rank[by_use] = np.arange(len(used))
+    used = used[by_use]
+    entries = _ranges(sup_start[used], sup_len[used])
+    rhs = np.full(len(player), float(params.delta))
+    arrays = (player, rank[inverse], leaf, np.repeat(np.arange(len(used)), sup_len[used]),
+              sup_leaf[entries], sup_weight[entries], rhs, subgame, coalition)
     for arr in arrays:
         arr.setflags(write=False)
-    return ConstraintSystem(*arrays, tuple(metadata), n, tree.m, float(params.delta), params.t)
+    return ConstraintSystem(*arrays, coalitions, tree, n, m, float(params.delta), params.t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -175,6 +175,8 @@ class TestPvc:
             PvcParams(n=2, eps=0.5, u_plus=2.0, u_minus=-1.0, delta=-0.1)
         with pytest.raises(BadParameters):
             PvcParams(n=2, eps=0.5, u_plus=(2.0, 2.0, 2.0), u_minus=-1.0, delta=1.0)
+        with pytest.raises(BadParameters, match="from 2 to 1000"):
+            PvcParams(n=PvcParams.MAX_N + 1, eps=0.5, u_plus=2.0, u_minus=-1.0, delta=1.0)
 
     def test_subnormal_eps_is_a_numerical_failure(self):
         # the emission matrix is singular in floating point, not in exact arithmetic

@@ -1,5 +1,6 @@
 """End-to-end command line behavior through dispatch()."""
 
+import gc
 import io
 import json
 import math
@@ -336,11 +337,84 @@ def test_numpy_warnings_stay_off_stderr():
     assert done.stderr == "error: leaf 'g1_sabotage' has a non-finite utility\n"
 
 
-def test_help_exits_zero():
-    code, _, _ = run(["--help"])
-    assert code == 0
-    code, _, _ = run(["gen", "--help"])
-    assert code == 0
+def test_help_exits_zero(capsys):
+    # help goes to dispatch's stdout, not the process's
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: paymech ")
+    code, out, err = run(["gen", "--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: paymech gen ")
+    code, out, err = run(["gen", "pvc", "--help"])
+    assert (code, err) == (0, "") and out.startswith("usage: paymech gen pvc ")
+    assert f"2 to {PvcParams.MAX_N}" in out
+    assert capsys.readouterr() == ("", "")
+
+
+def _commerce_calls(tmp_path):
+    """(argv, exit code) for every command on the commerce game."""
+    game = gen_commerce(tmp_path)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(run(["synth", str(game), "--delta", "100"])[1])
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"alphabet": ["top", "bot_B", "bot_S"],
+                                "lambda": [[0, 0, 0], [0, 0, 0]]}))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"target_e": [[-100, 0, -50, 50], [100, -50, -50, 50]]}))
+    game, scheme, zero, target = map(str, (game, scheme, zero, target))
+    return [
+        (["gen", "commerce", "--x", "100", "--xprime", "50", "--eps", "0.1"], 0),
+        (["gen", "pvc", "--n", "3", "--eps", "0.5", "--u-plus", "2", "--u-minus", "-1",
+          "--delta", "1"], 0),
+        (["synth", game, "--delta", "100"], 0),
+        (["verify", game, scheme, "--delta", "100"], 0),
+        (["bound", game, "--delta", "1"], 0),
+        (["spe", game], 0),
+        (["simulate", game, scheme, "--trials", "50"], 0),
+        (["implement", game, "--target", target], 0),
+        (["verify", game, zero, "--delta", "0"], 1),
+        (["spe", str(tmp_path / "missing.json")], 2),
+        (["synth", game, "--delta", "x"], 2),
+        (["gen", "pvc", "--n", "2", "--eps", "1e-320", "--u-plus", "2", "--u-minus", "-1",
+          "--delta", "1"], 3),
+    ]
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector setting of the test run afterwards."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_dispatch_restores_the_collector_setting(tmp_path, monkeypatch, collector, enabled):
+    calls = _commerce_calls(tmp_path)
+    assert {code for _, code in calls} == {0, 1, 2, 3}
+    for argv, code in calls:
+        (gc.enable if enabled else gc.disable)()
+        assert run(argv)[0] == code, argv
+        assert gc.isenabled() is enabled, argv
+
+    def crash(*_):
+        raise RuntimeError("not an outcome dispatch maps")
+
+    monkeypatch.setattr(cli, "_cmd_spe", crash)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError):
+        run(["spe", "-"])
+    assert gc.isenabled() is enabled
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, collector):
+    # what makes pausing the collector safe: with it off, a command's
+    # memory is all freed by reference counting, so collecting finds none
+    calls = _commerce_calls(tmp_path)
+    gc.disable()
+    for argv, code in calls:
+        run(argv)  # warm-up: caches and first-use set-up
+        gc.collect()
+        assert run(argv)[0] == code, argv
+        assert gc.collect() == 0, argv
 
 
 def test_output_file_keeps_stdout_clean(tmp_path):
@@ -496,11 +570,19 @@ def _fault_cases():
         argv = list(FROM_LP)
         argv[argv.index(flag) + 1] = value
         cases.append(pytest.param(argv, {}, id=f"from-lp {flag} {value}"))
+    flag_faults = [FAULT_COMMANDS["synth"][:-1] + ["x"], FAULT_COMMANDS["simulate"][:-1] + ["1.5"],
+                   ["synth", "--delta", "0"], ["simulate", "GAME", "SCHEME", "--trials"],
+                   ["verify", "GAME", "SCHEME", "--delta", "0", "--bogus"]]
+    for argv in flag_faults:
+        cases.append(pytest.param(argv, {}, id="flag " + " ".join(argv)))
     for argv in (["gen", "ala", "--damages", "1,x"], ["gen", "ala", "--damages", "1,nan"],
                  ["gen", "pvc", "--n", "2", "--eps", "0.5", "--u-plus", "x", "--u-minus", "-1",
                   "--delta", "1"],
                  ["gen", "commerce", "--x", "10", "--xprime", "50", "--eps", "0.1"]):
         cases.append(pytest.param(argv, {}, id=" ".join(argv[:3])))
+    above = str(PvcParams.MAX_N + 1)
+    cases.append(pytest.param(["gen", "pvc", "--n", above, "--eps", "0.5", "--u-plus", "2",
+                               "--u-minus", "-1", "--delta", "1"], {}, id=f"gen pvc --n {above}"))
     return cases
 
 
@@ -520,7 +602,8 @@ def test_fault_table_documents_are_valid(tmp_path):
 
 
 @pytest.mark.parametrize("argv, files", _fault_cases())
-def test_fault_table(tmp_path, argv, files):
+def test_fault_table(tmp_path, capsys, argv, files):
     code, out, err = run(_fault_argv(tmp_path, argv, files))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    assert capsys.readouterr() == ("", "")  # nothing bypasses dispatch's streams

@@ -20,6 +20,7 @@ from paymech import (
     utility_matrix,
     verify,
 )
+from paymech.security import SLACK_TOL
 
 from .helpers import oracle_rows, random_instance, system_rows
 
@@ -203,6 +204,11 @@ def test_row_order_and_metadata_match_the_per_subgame_walk():
     for tree, profile, t in cases:
         system = build_constraints(tree, profile, SecurityParams(delta=0.5, t=t))
         rows, triplets = _reference_rows(tree, profile, t)
+        # violations build their rows apart from the cached `rows`
+        report = system.check(rng.normal(size=(tree.n, tree.m)))
+        assert list(report.violations) == [
+            (rows[r], s) for r, s in enumerate(report.slacks) if s < -SLACK_TOL
+        ]
         assert list(system.rows) == rows
         np.testing.assert_array_equal(system.player, [row.deviator for row in rows])
         np.testing.assert_array_equal(system.rhs, np.full(len(rows), 0.5))
