@@ -239,9 +239,12 @@ def _cmd_simulate(args, stdout, stderr, stdin) -> int:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",")]
     except ValueError:
         raise ValidationError(f"{flag} expects comma-separated numbers, got {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{flag} expects finite numbers, got {text!r}")
+    return values
 
 
 def _parse_json_array(text: str, flag: str, shape):

@@ -18,9 +18,11 @@ pass such a list.  `_assemble` checks each entry with the per-node rules
 (`check_new_id`, `check_leaf`, `check_branch`, `check_chance`) and fills
 the preorder arrays: `order[v]` is the node at preorder position v,
 `kids[v]` its child positions and `leaf_index[v]` its leaf number (-1
-at other nodes).  Each call resolves a strategy profile once into
-`chosen`, the chosen child position of every branch.  The analyses are
-three loops over these arrays, none recursive:
+at other nodes).  Each call resolves a strategy profile once, through
+`check_profile`, into `chosen`, the chosen child position of every
+branch; a profile that misses a branch or names another id is
+rejected.  The analyses are three loops over these arrays, none
+recursive:
 - the top-down spread `GameTree.reach`, which yields leaf numbers
   (`honest_outcome`, `inducible_leaves`, and a chance node's honest
   outcome in `security.build_constraints`);
@@ -213,17 +215,6 @@ class GameTree:
     def branch_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.order if isinstance(node, Branch))
 
-    def resolve(self, profile: StrategyProfile) -> list[int]:
-        """The chosen child position of every branch, -1 at other nodes;
-        ids that name no branch are ignored (check_profile rejects them)."""
-        chosen = [-1] * len(self.order)
-        for v, node in enumerate(self.order):
-            if isinstance(node, Branch):
-                if node.id not in profile:
-                    raise MissingBranchChoice(f"profile has no move for branch {node.id!r}")
-                chosen[v] = self.kids[v][node.move_index(profile[node.id])]
-        return chosen
-
     def reach(self, start: int, chosen, free=()) -> list[tuple[int, float]]:
         """Numbers of the leaves reachable from position `start`, in leaf
         order, each with the product of the chance probabilities on its
@@ -356,13 +347,19 @@ def emission_stack(tree: GameTree) -> np.ndarray:
 
 
 def check_profile(tree: GameTree, profile: StrategyProfile) -> list[int]:
-    """Require one valid move for every branch, and no stray ids;
-    returns the profile resolved by GameTree.resolve."""
+    """Require one valid move for every branch, and no stray ids; returns
+    the chosen child position of every branch, -1 at other nodes."""
     positions, order = tree.positions, tree.order
     for nid in profile:
         if nid not in positions or not isinstance(order[positions[nid]], Branch):
             raise UnknownNodeId(f"profile names {nid!r}, which is not a branch of this tree")
-    return tree.resolve(profile)
+    chosen = [-1] * len(order)
+    for v, node in enumerate(order):
+        if isinstance(node, Branch):
+            if node.id not in profile:
+                raise MissingBranchChoice(f"profile has no move for branch {node.id!r}")
+            chosen[v] = tree.kids[v][node.move_index(profile[node.id])]
+    return chosen
 
 
 def _fold(tree: GameTree, pick) -> np.ndarray:
@@ -390,7 +387,7 @@ def _fold(tree: GameTree, pick) -> np.ndarray:
 
 def expected_utilities(tree: GameTree, profile: StrategyProfile) -> np.ndarray:
     """Expected utility vector when every branch follows the profile."""
-    chosen = tree.resolve(profile)
+    chosen = check_profile(tree, profile)
     return _fold(tree, lambda v, node, values: chosen[v])
 
 
@@ -422,7 +419,7 @@ def honest_outcome(tree: GameTree, root_id: str, profile: StrategyProfile):
     start = tree.position(root_id)
     w = np.zeros(tree.m)
     u = np.zeros(tree.n)
-    for j, p in tree.reach(start, tree.resolve(profile)):
+    for j, p in tree.reach(start, check_profile(tree, profile)):
         w[j] += p
         u = u + p * np.asarray(tree.leaves[j].utilities, dtype=np.float64)
     return w, u

@@ -160,7 +160,7 @@ class ConstraintSystem:
     def _blocks(self, per_row: np.ndarray) -> np.ndarray:
         out = np.zeros((self.alpha, self.n, per_row.shape[1]))
         out[np.arange(self.alpha), self.player] = per_row
-        return out.reshape(self.alpha, -1)
+        return out.reshape(self.alpha, self.n * per_row.shape[1])
 
 
 def inducible_leaves(
@@ -176,7 +176,7 @@ def inducible_leaves(
     if any(i < 0 or i >= tree.n for i in members):
         raise BadParameters(f"coalition {sorted(members)} out of range for {tree.n} players")
     start = tree.position(root_id)
-    return frozenset(j for j, _ in tree.reach(start, tree.resolve(profile), members))
+    return frozenset(j for j, _ in tree.reach(start, check_profile(tree, profile), members))
 
 
 def _settle(f: np.ndarray) -> np.ndarray:

@@ -10,8 +10,14 @@ one artificial per row to zero; no dual point means the primal is
 unbounded or infeasible, and an unbounded phase two means it is
 infeasible.  The primal point and both sets of multipliers are solved
 from the one final basis.  Pivoting uses Bland's rule, so the method
-terminates without cycling; this is meant for the small dense systems
-produced elsewhere in the package, not for large-scale work.
+terminates without cycling: the first column with a negative reduced
+cost enters, and among the rows that tie in the ratio test (within
+1e-12 of the running best, taken in row order) the one with the
+smallest basic column leaves.  Each step is a few array operations:
+one scan of the reduced costs, one division for the ratios of the
+eligible rows and one rank-1 update of the rows the pivot column
+touches.  This is meant for the dense systems produced elsewhere in the
+package, not for large-scale work.
 """
 
 from __future__ import annotations
@@ -95,9 +101,11 @@ def _pivot(tableau, row, col):
     if abs(piv) < PIVOT_BREAKDOWN:
         raise NumericalBreakdown(f"pivot element {piv!r} below breakdown threshold")
     tableau[row] /= piv
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    # one rank-1 update of the rows with a nonzero factor in the column
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    rows = np.flatnonzero(factor)
+    tableau[rows] -= factor[rows, None] * tableau[row]
 
 
 def _run(tableau, basis, max_iter):
@@ -108,29 +116,23 @@ def _run(tableau, basis, max_iter):
     """
     nrows = tableau.shape[0] - 1
     for _ in range(max_iter):
-        enter = -1
-        for j in range(tableau.shape[1] - 1):
-            if tableau[-1, j] < -OPT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        negative = np.flatnonzero(tableau[-1, :-1] < -OPT_TOL)
+        if not negative.size:
             return "optimal"
+        enter = negative[0]
         col = tableau[:nrows, enter]
-        best_ratio = None
-        for r in range(nrows):
-            if col[r] > PIVOT_ELIGIBLE:
-                ratio = tableau[r, -1] / col[r]
-                if best_ratio is None or ratio < best_ratio - 1e-12:
-                    best_ratio = ratio
-        if best_ratio is None:
+        eligible = np.flatnonzero(col > PIVOT_ELIGIBLE)
+        if not eligible.size:
             return "unbounded"
-        leave = -1
-        for r in range(nrows):
-            if col[r] > PIVOT_ELIGIBLE:
-                ratio = tableau[r, -1] / col[r]
-                if ratio <= best_ratio + 1e-12 * (1.0 + abs(best_ratio)):
-                    if leave < 0 or basis[r] < basis[leave]:
-                        leave = r
+        ratios = tableau[eligible, -1] / col[eligible]
+        # a ratio replaces the best only when smaller by more than 1e-12,
+        # so the tie set depends on the order of the rows
+        best = ratios[0]
+        for ratio in ratios[1:].tolist():
+            if ratio < best - 1e-12:
+                best = ratio
+        ties = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
+        leave = ties[basis[ties].argmin()]
         _pivot(tableau, leave, enter)
         basis[leave] = enter
     raise NumericalBreakdown("simplex iteration limit exceeded")
@@ -152,7 +154,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     tableau = np.zeros((d + 1, m + 1))
     tableau[:d, :-1] = a0[:, :m]
     tableau[:d, -1] = b0
-    basis = list(range(m, m + d))
+    basis = np.arange(m, m + d)
     # canonical phase-one objective: minimize the artificial total
     tableau[-1, :] = -tableau[:d].sum(axis=0)
     max_iter = 2000 + 200 * (d + m + d)

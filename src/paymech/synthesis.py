@@ -1,10 +1,14 @@
 """Payment-scheme synthesis by linear programming.
 
 Decision variables are the n*s entries of the payment matrix, flattened
-row-major over (player, symbol).  Security rows come from the constraint
-builder and are lifted into payment space through the emission matrix;
-self-containment adds one row per symbol.  Infinite cost entries pin the
-corresponding payment to zero.
+row-major over (player, symbol), plus the deposit D under the min-max
+objective.  Security rows come from the constraint builder and are
+lifted into payment space through the emission matrix; self-containment
+adds one row per symbol.  Infinite cost entries pin the corresponding
+payment to zero (rows of the identity), and honest invariance repeats
+one block per player (a Kronecker product with the identity).  Every
+block is built over the payments alone; the min-max objective then
+appends the D column and its cap rows D >= lambda once.
 """
 
 from __future__ import annotations
@@ -92,80 +96,48 @@ def _synthesize(tree, info, profile, system, cost_mat=None, opts=SynthesisOption
     if info.m != tree.m:
         raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
     n, s = tree.n, info.s
-    minmax = opts.objective == OBJ_MINMAX
-    nv = n * s + (1 if minmax else 0)
+    ns = n * s
     u = utility_matrix(tree)
 
-    g_blocks, h_blocks = [], []
-    eq_blocks, eq_rhs_blocks = [], []
-
-    if system.alpha:
-        sec = np.zeros((system.alpha, nv))
-        sec[:, : n * s] = -system.lift(info.phi)
-        g_blocks.append(sec)
-        h_blocks.append(system.rhs - system.dot(u))
-
-    colsum = np.zeros((s, nv))
-    colsum[:, : n * s] = np.tile(np.eye(s), (1, n))
+    colsum = np.tile(np.eye(s), (1, n))
+    g_blocks, h_blocks = [-system.lift(info.phi)], [system.rhs - system.dot(u)]
+    eq_blocks = []
     if opts.zero_inflation:
         eq_blocks.append(colsum)
-        eq_rhs_blocks.append(np.zeros(s))
     else:
         g_blocks.append(colsum)
         h_blocks.append(np.zeros(s))
-
     if cost_mat is not None:
-        pinned = np.argwhere(np.isposinf(cost_mat))
-        if pinned.size:
-            pins = np.zeros((len(pinned), nv))
-            for row, (i, k) in enumerate(pinned):
-                pins[row, i * s + k] = 1.0
-            eq_blocks.append(pins)
-            eq_rhs_blocks.append(np.zeros(len(pinned)))
-
+        eq_blocks.append(np.eye(ns)[np.flatnonzero(np.isposinf(cost_mat))])
     if opts.honest_invariance:
         weights, _ = honest_outcome(tree, tree.root.id, profile)
         if opts.honest_form == HONEST_PER_LEAF:
-            support = np.nonzero(weights > 0.0)[0]
-            rows = np.zeros((n * len(support), nv))
-            pos = 0
-            for i in range(n):
-                for j in support:
-                    rows[pos, i * s : (i + 1) * s] = info.phi[:, j]
-                    pos += 1
+            per_player = info.phi[:, weights > 0.0].T  # one row per supported leaf
         else:
-            mixed = info.phi @ weights  # symbol pdf of the honest outcome
-            rows = np.zeros((n, nv))
-            for i in range(n):
-                rows[i, i * s : (i + 1) * s] = mixed
-        eq_blocks.append(rows)
-        eq_rhs_blocks.append(np.zeros(rows.shape[0]))
+            per_player = (info.phi @ weights)[None, :]  # symbol pdf of the honest outcome
+        eq_blocks.append(np.kron(np.eye(n), per_player))
+    g, h = np.vstack(g_blocks), np.concatenate(h_blocks)
+    a_eq = np.vstack(eq_blocks) if eq_blocks else np.zeros((0, ns))
 
-    if minmax:
-        cap = np.zeros((n * s, nv))
-        cap[:, : n * s] = -np.eye(n * s)
-        cap[:, n * s] = 1.0
-        g_blocks.append(cap)
-        h_blocks.append(np.zeros(n * s))
-        c = np.zeros(nv)
-        c[n * s] = 1.0
+    if opts.objective == OBJ_MINMAX:
+        # one more variable, the deposit D, with a cap row D - lambda >= 0
+        # per payment; it minimises D
+        g = np.block([[g, np.zeros((len(g), 1))], [-np.eye(ns), np.ones((ns, 1))]])
+        h = np.concatenate([h, np.zeros(ns)])
+        a_eq = np.hstack([a_eq, np.zeros((len(a_eq), 1))])
+        c = np.zeros(ns + 1)
+        c[ns] = 1.0
     else:
         c = np.where(np.isposinf(cost_mat), 0.0, cost_mat).ravel()
 
-    lp = LinearProgram(
-        c,
-        np.vstack(g_blocks) if g_blocks else None,
-        np.concatenate(h_blocks) if h_blocks else None,
-        np.vstack(eq_blocks) if eq_blocks else None,
-        np.concatenate(eq_rhs_blocks) if eq_blocks else None,
-    )
+    lp = LinearProgram(c, g, h, a_eq, np.zeros(len(a_eq)))
     outcome = solve(lp)
     if outcome.status == "infeasible":
         raise Infeasible("no payment scheme satisfies the constraints", constraints=system)
     if outcome.status == "unbounded":
         raise Unbounded("cost objective is unbounded below on the feasible region")
 
-    scheme = PaymentScheme(outcome.x[: n * s].reshape(n, s))
+    scheme = PaymentScheme(outcome.x[:ns].reshape(n, s))
     report = system.check(implemented_utilities(u, scheme, info))
     if not report.passed:
         raise NumericalBreakdown(

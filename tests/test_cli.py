@@ -578,7 +578,12 @@ def _fault_cases():
     for argv in (["gen", "ala", "--damages", "1,x"], ["gen", "ala", "--damages", "1,nan"],
                  ["gen", "pvc", "--n", "2", "--eps", "0.5", "--u-plus", "x", "--u-minus", "-1",
                   "--delta", "1"],
-                 ["gen", "commerce", "--x", "10", "--xprime", "50", "--eps", "0.1"]):
+                 ["gen", "commerce", "--x", "10", "--xprime", "50", "--eps", "0.1"],
+                 ["gen", "ala", "--damages", "1,,2"],
+                 ["gen", "pvc", "--u-plus", "2,,3", "--n", "2", "--eps", "0.5", "--u-minus", "-1",
+                  "--delta", "1"],
+                 ["gen", "pvc", "--u-plus", "inf", "--n", "2", "--eps", "0.5", "--u-minus", "-1",
+                  "--delta", "1"]):
         cases.append(pytest.param(argv, {}, id=" ".join(argv[:3])))
     above = str(PvcParams.MAX_N + 1)
     cases.append(pytest.param(["gen", "pvc", "--n", above, "--eps", "0.5", "--u-plus", "2",

@@ -13,6 +13,7 @@ from paymech import (
     PaymentScheme,
     build_commerce,
     CommerceParams,
+    check_profile,
     monte_carlo,
     run_episode,
     trial_seed,
@@ -156,7 +157,7 @@ def _replay(tree, profile, trials, seed):
     states it: one generator for all trials, one uniform per chance node
     and one for the symbol, each drawn by inverse CDF on the left-to-right
     cumulative sums."""
-    chosen = tree.resolve(profile)
+    chosen = check_profile(tree, profile)
     rng = np.random.default_rng(seed)
 
     def draw(probs):

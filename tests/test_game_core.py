@@ -168,8 +168,12 @@ def test_check_profile_requires_every_branch_and_no_strays():
     check_profile(tree, {"r": "l", "rl": "x"})
     with pytest.raises(MissingBranchChoice):
         check_profile(tree, {"r": "l"})
-    with pytest.raises(UnknownNodeId):
-        check_profile(tree, {"r": "l", "rl": "x", "ghost": "z"})
+    stray = {"r": "l", "rl": "x", "ghost": "z"}
+    for call in (lambda: check_profile(tree, stray), lambda: honest_outcome(tree, "r", stray),
+                 lambda: expected_utilities(tree, stray),
+                 lambda: inducible_leaves(tree, "r", (0,), stray)):
+        with pytest.raises(UnknownNodeId):
+            call()
     with pytest.raises(MissingBranchChoice):
         check_profile(tree, {"r": "l", "rl": "nope"})
 

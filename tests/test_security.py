@@ -9,12 +9,14 @@ from paymech import (
     BadParameters,
     ConstraintRow,
     GameTree,
+    InfoStructure,
     PaymentScheme,
     SecurityParams,
     backward_induction,
     branch,
     build_constraints,
     chance,
+    check_profile,
     inducible_leaves,
     leaf,
     utility_matrix,
@@ -113,19 +115,26 @@ def test_verify_slack_tolerance_is_tight(commerce):
 def test_block_rows_match_the_dense_matrix():
     # the kron lifting of the dense rows is the reference for lift
     rng = np.random.default_rng(37)
+
+    def check(tree, info, profile, t):
+        n = tree.n
+        system = build_constraints(tree, profile, SecurityParams(delta=0.5, t=t))
+        a, lifted = system.a, system.lift(info.phi)
+        assert a.shape == (system.alpha, n * tree.m)
+        assert lifted.shape == (system.alpha, n * info.s)
+        np.testing.assert_allclose(lifted, a @ np.kron(np.eye(n), info.phi.T), atol=1e-12)
+        x = rng.normal(size=(n, tree.m))
+        np.testing.assert_allclose(system.dot(x), a @ x.ravel(), atol=1e-12)
+
     for trial in range(30):
         n = 3 if trial % 3 == 0 else 2
         tree, info, profile = random_instance(
             rng, n_players=n, num_symbols=int(rng.integers(2, 5)), max_nodes=16
         )
-        system = build_constraints(tree, profile, SecurityParams(delta=0.5, t=2 if n == 3 else 1))
-        a = system.a
-        assert a.shape == (system.alpha, n * tree.m)
-        np.testing.assert_allclose(
-            system.lift(info.phi), a @ np.kron(np.eye(n), info.phi.T), atol=1e-12
-        )
-        x = rng.normal(size=(n, tree.m))
-        np.testing.assert_allclose(system.dot(x), a @ x.ravel(), atol=1e-12)
+        check(tree, info, profile, 2 if n == 3 else 1)
+    # a game without branches has no rows
+    lone = GameTree(("A",), leaf("x", (1.0,), (1.0,)))
+    check(lone, InfoStructure.from_tree(lone, ("s",)), {}, 1)
 
 
 def test_coalitions_only_add_constraints():
@@ -142,7 +151,7 @@ def _reference_rows(tree, profile, t):
     deduplicated on (player, support id, leaf): the metadata, and the
     dense matrix as (row, column, value) triplets."""
     n, m = tree.n, tree.m
-    chosen = tree.resolve(profile)
+    chosen = check_profile(tree, profile)
     coalitions = [c for size in range(1, t + 1) for c in combinations(range(n), size)]
     supports, seen, rows, triplets = {}, set(), [], []
     for v, root in enumerate(tree.order):

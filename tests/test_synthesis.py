@@ -7,13 +7,17 @@ import pytest
 
 from paymech import (
     BadParameters,
+    CommerceParams,
     DimensionMismatch,
     GameTree,
     Infeasible,
     InfoStructure,
+    PvcParams,
     SecurityParams,
     SynthesisOptions,
     branch,
+    build_commerce,
+    build_pvc,
     honest_outcome,
     implemented_utilities,
     leaf,
@@ -23,7 +27,7 @@ from paymech import (
     utility_matrix,
     verify,
 )
-from paymech import security, synthesis
+from paymech import security, simplex, synthesis
 from paymech.synthesis import HONEST_EXPECTED, OBJ_MINMAX, OBJ_WEIGHTED
 
 from .helpers import random_instance, solvable_instance
@@ -154,26 +158,50 @@ def test_minmax_value_nondecreasing_in_delta():
 SWEEP_SHAPES = ((2, 3, 12, True), (2, 8, 60, True), (3, 4, 30, True), (2, 6, 100, False))
 
 
-@pytest.mark.parametrize("seed, draw, t, delta, optimum", [
-    (109, 4, 2, 0.0, 7.360222777119452),
-    (128, 2, 1, 1.0, 4.5),
-    (142, 2, 2, 1.0, None),
-    (49, 2, 2, 1.0, 445.55431668640085),
-    (55, 4, 2, 1.0, 77.1191805129405),
-])
-def test_degenerate_programs_match_reference_lp(seed, draw, t, delta, optimum):
+CASE_STUDIES = {
+    "commerce": lambda: build_commerce(CommerceParams(x=100.0, x_prime=50.0, y=150.0, eps=0.1)),
+    "pvc-4": lambda: build_pvc(PvcParams(n=4, eps=0.5, u_plus=2.0, u_minus=-1.0, delta=1.0)),
+}
+
+# seed of a sweep draw (or a case study), draw, t, delta, optimum (None:
+# infeasible), and the simplex pivots of the solve; the ids leave out the
+# pivot count
+DEGENERATE_ROWS = [
+    (109, 4, 2, 0.0, 7.360222777119452, 99),
+    (128, 2, 1, 1.0, 4.5, 52),
+    (142, 2, 2, 1.0, None, 47),
+    (49, 2, 2, 1.0, 445.55431668640085, 119),
+    (55, 4, 2, 1.0, 77.1191805129405, 63),
+    ("commerce", 0, 1, 1.0, 50.625, 9),
+    ("pvc-4", 0, 1, 1.0, 2.0, 47),
+]
+
+
+@pytest.mark.parametrize("seed, draw, t, delta, optimum, pivots", [
+    pytest.param(*row, id="-".join(map(str, row[:-1]))) for row in DEGENERATE_ROWS])
+def test_degenerate_programs_match_reference_lp(monkeypatch, seed, draw, t, delta, optimum,
+                                                pivots):
     # optima (None: infeasible) from bench/oracle.solve_program, a revised
-    # simplex that returns each answer only with a checked certificate
-    rng = np.random.default_rng(10000 + seed)
-    tree, info, profile = [random_instance(rng, *shape) for shape in SWEEP_SHAPES][draw - 1]
+    # simplex that returns each answer only with a checked certificate;
+    # the pivot count pins the path of Bland's rule through the tableau
+    if seed in CASE_STUDIES:
+        inst = CASE_STUDIES[seed]()
+        tree, info, profile = inst.tree, inst.info, inst.profile
+    else:
+        rng = np.random.default_rng(10000 + seed)
+        tree, info, profile = [random_instance(rng, *shape) for shape in SWEEP_SHAPES][draw - 1]
     params = SecurityParams(delta=delta, t=t)
+    count = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: count.append(1) or pivot(*args))
     if optimum is None:
         with pytest.raises(Infeasible):
             synthesize(tree, info, profile, params)
-        return
-    scheme = synthesize(tree, info, profile, params)
-    assert scheme.matrix.max() == pytest.approx(optimum, rel=1e-6)
-    assert verify(tree, info, scheme, profile, params).passed
+    else:
+        scheme = synthesize(tree, info, profile, params)
+        assert scheme.matrix.max() == pytest.approx(optimum, rel=1e-6)
+        assert verify(tree, info, scheme, profile, params).passed
+    assert len(count) == pivots
 
 
 def test_synthesize_builds_constraints_once(commerce, monkeypatch):
