@@ -20,6 +20,13 @@ from .game_core import GameTree, branch, chance, leaf, utility_matrix
 from .info_structure import InfoStructure, PaymentScheme, scheme_diagnostics
 
 
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not np.isfinite(value):
+        raise BadParameters(f"{name} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class CommerceParams:
     """price x, seller valuation x_prime, buyer valuation y, oracle error eps"""
@@ -31,7 +38,7 @@ class CommerceParams:
 
     def __post_init__(self):
         for name in ("x", "x_prime", "y", "eps"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not (self.y > self.x > self.x_prime > 0):
             raise BadParameters(
                 f"need y > x > x_prime > 0, got y={self.y}, x={self.x}, x_prime={self.x_prime}"
@@ -141,14 +148,10 @@ class PvcParams:
         if int(self.n) != self.n or not 2 <= self.n <= self.MAX_N:
             raise BadParameters(f"need an integer n from 2 to {self.MAX_N}, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "u_minus", float(self.u_minus))
-        object.__setattr__(self, "delta", float(self.delta))
-        up = self.u_plus
-        if np.ndim(up) == 0:
-            up = (float(up),) * self.n
-        else:
-            up = tuple(float(v) for v in up)
+        for name in ("eps", "u_minus", "delta"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        up = (self.u_plus,) * self.n if np.ndim(self.u_plus) == 0 else self.u_plus
+        up = tuple(_finite("u_plus", v) for v in up)
         if len(up) != self.n:
             raise BadParameters(f"u_plus must be scalar or length {self.n}, got {len(up)}")
         object.__setattr__(self, "u_plus", up)

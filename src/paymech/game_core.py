@@ -21,14 +21,15 @@ the preorder arrays: `order[v]` is the node at preorder position v,
 at other nodes).  Each call resolves a strategy profile once, through
 `check_profile`, into `chosen`, the chosen child position of every
 branch; a profile that misses a branch or names another id is
-rejected.  The analyses are three loops over these arrays, none
-recursive:
-- the top-down spread `GameTree.reach`, which yields leaf numbers
-  (`honest_outcome`, `inducible_leaves`, and a chance node's honest
+rejected.  The analyses are three loops over these arrays, one per
+question, none recursive:
+- where on-profile or coalition play can go: the top-down spread
+  `GameTree.reach`, which yields leaf numbers (`honest_outcome`,
+  `expected_utilities`, `inducible_leaves`, and a chance node's honest
   outcome in `security.build_constraints`);
-- `_fold` over reversed preorder (`backward_induction`,
-  `expected_utilities`);
-- the sampled path of an escrow episode.
+- what each player should do: `backward_induction`, one pass over
+  reversed preorder;
+- where one episode goes: the sampled path of an escrow episode.
 `security.build_constraints` loops over no other node: it copies `kids`,
 `leaf_index` and `chosen` into numpy arrays and works on those.
 """
@@ -362,49 +363,31 @@ def check_profile(tree: GameTree, profile: StrategyProfile) -> list[int]:
     return chosen
 
 
-def _fold(tree: GameTree, pick) -> np.ndarray:
-    """Value of the root, by one pass over reversed preorder.
+def backward_induction(tree: GameTree) -> dict[str, str]:
+    """Subgame-perfect choices, ties resolved toward the leftmost child.
 
-    A leaf is worth its utilities (a tuple until arithmetic needs an
-    array), a chance node the probability-weighted sum over its
-    positive-probability children, and the branch at position v the
-    value of the child position `pick(v, node, values)`."""
+    One pass over reversed preorder: a leaf is worth its utilities, a
+    chance node the probability-weighted sum over its positive-probability
+    children, and a branch the value of the first child best for its
+    owner."""
+    kids = tree.kids
     values: list = [None] * len(tree.order)
+    best_move: dict[int, str] = {}
     for v in range(len(tree.order) - 1, -1, -1):
         node = tree.order[v]
         if isinstance(node, Leaf):
             values[v] = node.utilities
         elif isinstance(node, Branch):
-            values[v] = values[pick(v, node, values)]
+            worth = [values[c][node.owner] for c in kids[v]]
+            best = worth.index(max(worth))  # the leftmost of the best
+            best_move[v] = node.children[best][0]
+            values[v] = values[kids[v][best]]
         else:
             acc = np.zeros(tree.n)
-            for (p, _), c in zip(node.children, tree.kids[v]):
+            for (p, _), c in zip(node.children, kids[v]):
                 if p > 0:
                     acc += p * np.asarray(values[c], dtype=np.float64)
             values[v] = acc
-    return np.asarray(values[0], dtype=np.float64)
-
-
-def expected_utilities(tree: GameTree, profile: StrategyProfile) -> np.ndarray:
-    """Expected utility vector when every branch follows the profile."""
-    chosen = check_profile(tree, profile)
-    return _fold(tree, lambda v, node, values: chosen[v])
-
-
-def backward_induction(tree: GameTree) -> dict[str, str]:
-    """Subgame-perfect choices, ties resolved toward the leftmost child."""
-    best_move: dict[int, str] = {}
-
-    def pick(v, node, values):
-        owner, kids = node.owner, tree.kids[v]
-        best = 0
-        for k in range(1, len(kids)):
-            if values[kids[k]][owner] > values[kids[best]][owner]:
-                best = k
-        best_move[v] = node.children[best][0]
-        return kids[best]
-
-    _fold(tree, pick)
     return {tree.order[v].id: best_move[v] for v in sorted(best_move)}
 
 
@@ -423,6 +406,12 @@ def honest_outcome(tree: GameTree, root_id: str, profile: StrategyProfile):
         w[j] += p
         u = u + p * np.asarray(tree.leaves[j].utilities, dtype=np.float64)
     return w, u
+
+
+def expected_utilities(tree: GameTree, profile: StrategyProfile) -> np.ndarray:
+    """Expected utility vector when every branch follows the profile: the
+    root's honest outcome."""
+    return honest_outcome(tree, tree.root.id, profile)[1]
 
 
 def subgame_ids(tree: GameTree) -> tuple[str, ...]:

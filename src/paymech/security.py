@@ -104,8 +104,6 @@ class ConstraintSystem:
     tree: GameTree
     n: int
     m: int
-    delta: float
-    t: int
 
     @property
     def alpha(self) -> int:
@@ -310,7 +308,7 @@ def build_constraints(
               sup_leaf[entries], sup_weight[entries], rhs, subgame, coalition)
     for arr in arrays:
         arr.setflags(write=False)
-    return ConstraintSystem(*arrays, coalitions, tree, n, m, float(params.delta), params.t)
+    return ConstraintSystem(*arrays, coalitions, tree, n, m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,18 +141,19 @@ def _run(tableau, basis, max_iter):
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve the program; outcome status is one of optimal, infeasible, unbounded."""
     d, p, q = lp.num_vars, lp.g.shape[0], lp.a_eq.shape[0]
-    g_all = np.vstack([lp.g, lp.a_eq, -lp.a_eq])
     h_all = np.concatenate([lp.h, lp.b_eq, -lp.b_eq])
-    m = g_all.shape[0]
-    # dual rows g_all^T y = c, one per primal variable, signed so the rhs is >= 0
+    # dual rows g_all^T y = c, one per primal variable, signed so the rhs
+    # is >= 0; g_all stacks g, a_eq and -a_eq, and a holds its columns
     signs = np.where(lp.c < 0, -1.0, 1.0)
-    a0 = np.hstack([g_all.T * signs[:, None], np.eye(d)])  # real columns, then artificials
+    a = np.vstack([lp.g, lp.a_eq, -lp.a_eq]).T * signs[:, None]
+    m = a.shape[1]
     b0 = lp.c * signs
 
-    # the artificials start as the basis and never enter, so the tableau
-    # holds only the real columns; a basis entry >= m is an artificial
+    # one artificial per row starts as the basis and never enters, so the
+    # tableau holds only the real columns; basis entry m + r is row r's
+    # artificial, a unit column
     tableau = np.zeros((d + 1, m + 1))
-    tableau[:d, :-1] = a0[:, :m]
+    tableau[:d, :-1] = a
     tableau[:d, -1] = b0
     basis = np.arange(m, m + d)
     # canonical phase-one objective: minimize the artificial total
@@ -185,7 +186,9 @@ def solve(lp: LinearProgram) -> LpOutcome:
         return LpOutcome("infeasible")  # an unbounded dual ray
 
     # y and x from the final basis itself: tableau reads carry pivot drift
-    bmat = a0[:, basis]
+    bmat = np.eye(d)
+    real = basis < m
+    bmat[:, real] = a[:, basis[real]]
     y = np.zeros(m + d)
     try:
         y[basis] = np.linalg.solve(bmat, b0)

@@ -1,5 +1,7 @@
 """Worked scenarios: trade with arbitration, covert computation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,11 @@ class TestCommerce:
             CommerceParams(x=100, x_prime=50, y=150, eps=0.5)
         with pytest.raises(BadParameters):
             CommerceParams(x=100, x_prime=50, y=150, eps=0.0)
+        for name in ("x", "x_prime", "y", "eps"):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = {**dict(x=100, x_prime=50, y=150, eps=0.1), name: bad}
+                with pytest.raises(BadParameters, match=f"^{name} must be finite"):
+                    CommerceParams(**values)
 
     def test_scaling(self):
         # payments scale linearly in the price at fixed eps
@@ -177,6 +184,13 @@ class TestPvc:
             PvcParams(n=2, eps=0.5, u_plus=(2.0, 2.0, 2.0), u_minus=-1.0, delta=1.0)
         with pytest.raises(BadParameters, match="from 2 to 1000"):
             PvcParams(n=PvcParams.MAX_N + 1, eps=0.5, u_plus=2.0, u_minus=-1.0, delta=1.0)
+        for name in ("eps", "u_plus", "u_minus", "delta"):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = {**dict(n=2, eps=0.5, u_plus=2.0, u_minus=-1.0, delta=1.0), name: bad}
+                with pytest.raises(BadParameters, match=f"^{name} must be finite"):
+                    PvcParams(**values)
+        with pytest.raises(BadParameters, match="^u_plus must be finite"):
+            PvcParams(n=2, eps=0.5, u_plus=(2.0, math.inf), u_minus=-1.0, delta=1.0)
 
     def test_subnormal_eps_is_a_numerical_failure(self):
         # the emission matrix is singular in floating point, not in exact arithmetic

@@ -583,7 +583,14 @@ def _fault_cases():
                  ["gen", "pvc", "--u-plus", "2,,3", "--n", "2", "--eps", "0.5", "--u-minus", "-1",
                   "--delta", "1"],
                  ["gen", "pvc", "--u-plus", "inf", "--n", "2", "--eps", "0.5", "--u-minus", "-1",
-                  "--delta", "1"]):
+                  "--delta", "1"],
+                 ["gen", "pvc", "--delta", "nan", "--n", "2", "--eps", "0.5", "--u-plus", "2",
+                  "--u-minus", "-1"],
+                 ["gen", "pvc", "--delta", "inf", "--n", "2", "--eps", "0.5", "--u-plus", "2",
+                  "--u-minus", "-1"],
+                 ["gen", "pvc", "--u-minus=-inf", "--n", "2", "--eps", "0.5", "--u-plus", "2",
+                  "--delta", "1"],
+                 ["gen", "commerce", "--y", "inf", "--x", "100", "--xprime", "50", "--eps", "0.1"]):
         cases.append(pytest.param(argv, {}, id=" ".join(argv[:3])))
     above = str(PvcParams.MAX_N + 1)
     cases.append(pytest.param(["gen", "pvc", "--n", above, "--eps", "0.5", "--u-plus", "2",
