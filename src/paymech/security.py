@@ -1,48 +1,34 @@
 """Coalition deviation constraints and scheme verification.
 
-The target property: for every subgame, every coalition C of size at
-most t, every leaf that C can force (others on-profile) outside the
+The target property: for every subgame, every coalition C of at most t
+players, every leaf that C can force (others on-profile) outside the
 support of the on-profile continuation, and every member i of C, the
 member's expected on-profile utility beats the leaf by at least delta.
+Each requirement is one row on member i's row of E = U - Lambda @ Phi:
+the subgame's honest outcome (support leaves and weights) against one
+deviation leaf, with right-hand side delta, stored as (player, outcome
+id, leaf) over one flat (outcome id, leaf, weight) table.  Rows are
+deduplicated on (player, outcome, leaf), keeping the first in the order
+(subgame in preorder, coalition size, coalition in combinations order,
+member, leaf).
 
-Each such requirement is one row on member i's row of E = U - Lambda @
-Phi alone: the honest outcome of the subgame (its support leaves with
-weights w_a, fractional exactly when chance nodes sit on the on-profile
-path) against one deviation leaf, with right-hand side delta.  A row is
-stored as (player, outcome id, leaf); the distinct outcomes the rows
-use sit in one flat (outcome id, leaf, weight) table.  Rows are
-deduplicated on (player, outcome, leaf), keeping the metadata of the
-first occurrence; generation order is preorder over subgames, then
-coalition size, then coalition, then member, then leaf, so the row
-order is deterministic.
-
-`build_constraints` finds the rows with array operations over the
-compiled preorder; only chance nodes are visited one by one, each for
-its honest outcome (`GameTree.reach`).  A subgame's honest outcome
-is its head's: the first leaf or chance node on the chosen path below
-it.  Only a subgame whose honest outcome differs from its parent's
-emits rows.  Any other one is followed on-profile by its parent (an
-outcome's support is never empty), so its reachable leaves lie inside
-the parent's and each of its rows repeats one of the parent's.
-
-Coalition C reaches leaf j from subgame v exactly when the deepest edge
-on the root-to-j path that C cannot take ends at or above v.  C cannot
-take a non-member branch's unchosen edge, nor the edge to a
-zero-probability chance child.  Pointer jumping over parent positions
-(`_settle`) finds that edge for every leaf and coalition at once, as it
-finds heads and the last leaf under each node.  An emitting subgame's
-deviation leaves are then a masked slice of its preorder leaf interval,
-minus its support, and `np.unique` keeps the first occurrence of each
-(player, outcome, leaf).  A `ConstraintSystem` keeps each row's subgame
-and coalition as index arrays and builds `ConstraintRow`s only when
-they are read.
+`build_constraints` works on arrays over the compiled preorder.  Only a
+subgame whose honest outcome differs from its parent's emits rows: any
+other one is followed on-profile by its parent, so its rows repeat the
+parent's.  C reaches leaf j from v exactly when the path from v to j
+has no zero-probability chance edge and C holds its deviators S, the
+owners of the unchosen edges on it.  So member i gets a row exactly when
+|S + {i}| <= t, first from S + {i}, the smallest coalition that holds i
+and reaches j.  Pointer jumping (`_settle`) finds the deepest such edge
+over every leaf, per player and for chance, so the work follows the
+leaves, players and rows, not the C(n, <= t) coalitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -64,8 +50,8 @@ class SecurityParams:
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta < 0:
             raise BadParameters(f"delta must be finite and nonnegative, got {self.delta}")
-        if self.t < 1:
-            raise BadParameters(f"coalition bound t must be at least 1, got {self.t}")
+        if isinstance(self.t, bool) or not isinstance(self.t, (int, np.integer)) or self.t < 1:
+            raise BadParameters(f"coalition bound t must be an integer >= 1, got {self.t!r}")
 
 
 @dataclass(frozen=True)
@@ -194,6 +180,17 @@ def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.arange(length.sum()) + np.repeat(start - offset, length)
 
 
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the columns of `keys` by row 0, then row 1, ...: the first
+    column of each distinct value, and each column's rank among them."""
+    order = np.lexsort(keys[::-1])
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (keys[:, order[1:]] != keys[:, order[:-1]]).any(axis=0)
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    return order[new], rank
+
+
 def build_constraints(
     tree: GameTree, profile: StrategyProfile, params: SecurityParams
 ) -> ConstraintSystem:
@@ -201,7 +198,6 @@ def build_constraints(
     if params.t > n:
         raise BadParameters(f"coalition bound t={params.t} exceeds {n} players")
     chosen = check_profile(tree, profile)
-    coalitions = tuple(c for size in range(1, params.t + 1) for c in combinations(range(n), size))
     size = len(tree.order)
     node = np.arange(size)
     choice = np.array(chosen, dtype=np.intp)  # -1 off branches
@@ -242,70 +238,74 @@ def build_constraints(
     sup_leaf = np.array([*range(m), *(j for leaves, _ in ids for j in leaves)], dtype=np.intp)
     sup_weight = np.array([*[1.0] * m, *(p for _, weights in ids for p in weights)])
 
-    # A subgame emits rows when its outcome differs from its parent's;
-    # any other one is followed on-profile by its parent, so its rows
-    # repeat the parent's.  A leaf reaches only its own support.
+    # A leaf reaches only its own support.
     emit = ~is_leaf & (sid != sid[parent])
     emit[0] = True
     sub = np.flatnonzero(emit)
     sub_sid = sid[sub]
 
-    # Coalition C reaches leaf j from v exactly when every edge below v
-    # on the path to j is one C can take.  It cannot take a zero-
-    # probability chance edge, nor an unchosen edge of a branch whose
-    # owner is outside C.  top[k, j] is the deepest node over leaf j
-    # whose incoming edge coalition k cannot take (the root if none).
-    members = np.zeros((len(coalitions), n + 1), dtype=bool)  # column n: no owner
-    for k, coalition in enumerate(coalitions):
-        members[k, list(coalition)] = True
-    owner = np.full(size, n, dtype=np.intp)
-    branches = np.flatnonzero(choice >= 0)
-    owner[branches] = [tree.order[v].owner for v in branches.tolist()]
-    unchosen = (choice[parent] >= 0) & (choice[parent] != node)
-    blocked = zero | (unchosen & ~members[:, owner[parent]])
-    blocked[:, 0] = True
-    # coalition k's copy of node u sits at k * size + u
-    offset = np.arange(0, blocked.size, size)[:, None]
-    top = _settle((np.where(blocked, node, parent) + offset).ravel()).reshape(blocked.shape)
-    top = (top - offset)[:, is_leaf]
-    del blocked, unchosen, offset
+    # Row o < n marks the nodes player o's unchosen edges enter, row n those
+    # zero-probability edges enter; top[o, j]: the deepest one over leaf j.
+    owner = np.full(size, n)
+    owner[choice >= 0] = [tree.order[v].owner for v in np.flatnonzero(choice >= 0).tolist()]
+    blocked = np.zeros((n + 1, size), dtype=bool)
+    blocked[owner[parent], node] = zero | ((choice[parent] >= 0) & (choice[parent] != node))
+    top = np.array([_settle(np.where(row, node, parent)) for row in blocked])[:, is_leaf]
 
-    # Candidate rows: every leaf under an emitting subgame, by subgame,
-    # then (coalition, member) slot, then leaf; kept where the slot's
-    # coalition reaches it outside the subgame's support.
+    # Candidates (v, j) by subgame, then leaf: j outside v's support, top[n, j]
+    # not below v, and at most t deviators o (top[o, j] below v).
     width = hi[sub] - lo[sub]
     seg = np.repeat(np.arange(len(sub)), width)
     start = np.cumsum(width) - width
     leaf = _ranges(lo[sub], width)
-    reached = top[:, leaf] <= sub[seg]
+    below = top[:, leaf] > sub[seg]
+    live = ~below[n] & (below[:n].sum(axis=0) <= params.t)
     entries = _ranges(sup_start[sub_sid], sup_len[sub_sid])
     at = np.repeat(np.arange(len(sub)), sup_len[sub_sid])
-    reached[:, start[at] + sup_leaf[entries] - lo[sub][at]] = False
-    slot_coalition = np.array([k for k, c in enumerate(coalitions) for _ in c], dtype=np.intp)
-    slot_player = np.array([i for c in coalitions for i in c], dtype=np.intp)
-    slot, pos = np.nonzero(reached[slot_coalition])
-    del reached, top
-    order = np.argsort(seg[pos] * len(slot_player) + slot, kind="stable")
+    live[start[at] + sup_leaf[entries] - lo[sub][at]] = False
+    live = np.flatnonzero(live)
+    seg, leaf = seg[live], leaf[live]
+    # Group them by deviators S (bits, player 0 first), rank the coalitions
+    # S + {i} by (size, inverted bits), order rows by (subgame, slot, leaf).
+    first, group = _group(np.packbits(below[:n, live], axis=0))
+    deviators = below[:n, live[first]]
+    size_with = deviators.sum(axis=0) + ~deviators  # (member, group)
+    gives = size_with <= params.t
+    member, of = np.nonzero(gives)
+    joined = np.packbits(deviators[:, of] | (np.arange(n)[:, None] == member), axis=0)
+    ranked, rank = _group(np.vstack([size_with[gives], ~joined]))
+    slot = np.zeros_like(size_with)
+    slot[gives] = rank * n + member
+    player, pos = np.nonzero(gives[:, group])
+    slot = slot[player, group[pos]]
+    order = np.argsort(seg[pos] * (len(ranked) * n) + slot, kind="stable")
     slot, pos = slot[order], pos[order]
-    # deduplicated on (player, outcome, leaf), keeping the first occurrence
-    player, leaf, seg = slot_player[slot], leaf[pos], seg[pos]
+    # Deduplicated on (player, outcome, leaf), keeping the first: a subgame
+    # has one row per (player, leaf), so only shared outcomes can repeat.
+    player, leaf, seg = slot % n, leaf[pos], seg[pos]
     row_sid = sub_sid[seg]
-    key = np.ravel_multi_index((player, row_sid, leaf), (n, len(sup_len), m))
-    keep = np.sort(np.unique(key, return_index=True)[1])
-    player, leaf, row_sid = player[keep], leaf[keep], row_sid[keep]
-    subgame, coalition = sub[seg[keep]], slot_coalition[slot[keep]]
-    del key, order, slot, pos, seg
+    keep = np.bincount(sub_sid)[row_sid] == 1
+    shared = np.flatnonzero(~keep)
+    key = np.ravel_multi_index((player[shared], row_sid[shared], leaf[shared]), (n, len(sup_len), m))
+    keep[shared[np.unique(key, return_index=True)[1]]] = True
+    player, leaf, row_sid, seg = player[keep], leaf[keep], row_sid[keep], seg[keep]
+    # number the coalitions the rows use, in rank order
+    coalition = slot[keep] // n
+    used = np.bincount(coalition, minlength=len(ranked)) > 0
+    coalition = (np.cumsum(used) - 1)[coalition]
+    members = np.unpackbits(joined[:, ranked[used]], axis=0, count=n)
+    coalitions = tuple(tuple(np.flatnonzero(c).tolist()) for c in members.T)
 
-    # renumber the outcomes the rows use, in order of first use
-    used, first_use, inverse = np.unique(row_sid, return_index=True, return_inverse=True)
-    by_use = np.argsort(first_use)
-    rank = np.empty_like(by_use)
-    rank[by_use] = np.arange(len(used))
-    used = used[by_use]
+    # renumber the outcomes the rows use, in order of first use: rows go
+    # by subgame, so that is the order of the subgames that have rows
+    used = sub_sid[np.flatnonzero(np.bincount(seg, minlength=len(sub)))]
+    used = used[np.sort(np.unique(used, return_index=True)[1])]
+    number = np.zeros(len(sup_len), dtype=np.intp)
+    number[used] = np.arange(len(used))
     entries = _ranges(sup_start[used], sup_len[used])
     rhs = np.full(len(player), float(params.delta))
-    arrays = (player, rank[inverse], leaf, np.repeat(np.arange(len(used)), sup_len[used]),
-              sup_leaf[entries], sup_weight[entries], rhs, subgame, coalition)
+    arrays = (player, number[row_sid], leaf, np.repeat(np.arange(len(used)), sup_len[used]),
+              sup_leaf[entries], sup_weight[entries], rhs, sub[seg], coalition)
     for arr in arrays:
         arr.setflags(write=False)
     return ConstraintSystem(*arrays, coalitions, tree, n, m)

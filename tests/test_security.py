@@ -1,5 +1,6 @@
 """Constraint generation, verification, and the block form of the rows."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -11,10 +12,12 @@ from paymech import (
     GameTree,
     InfoStructure,
     PaymentScheme,
+    PvcParams,
     SecurityParams,
     backward_induction,
     branch,
     build_constraints,
+    build_pvc,
     chance,
     check_profile,
     inducible_leaves,
@@ -34,7 +37,11 @@ def test_security_params_validation():
         SecurityParams(delta=np.inf)
     with pytest.raises(BadParameters):
         SecurityParams(delta=0.0, t=0)
+    for t in (1.5, 2.0, True, False, "2", None):
+        with pytest.raises(BadParameters, match="coalition bound t"):
+            SecurityParams(delta=0.0, t=t)
     assert SecurityParams(delta=0.0).t == 1
+    assert SecurityParams(delta=0.0, t=np.int64(2)).t == 2
 
 
 def test_commerce_constraints_are_the_known_three(commerce):
@@ -180,6 +187,18 @@ def _chain(depth):
     return GameTree(("A", "B"), node)
 
 
+def _two_step():
+    # leaf z is reached from the root only if players 0 and 1 both leave
+    # the profile
+    def end(name):
+        return leaf(name, (1.0, 2.0, 3.0), (1.0,))
+
+    tree = GameTree(("A", "B", "C"), branch("r", 0, [
+        ("a", end("x")), ("b", branch("s", 1, [("c", end("y")), ("d", end("z"))])),
+    ]))
+    return tree, {"r": "a", "s": "c"}
+
+
 def test_row_order_and_metadata_match_the_per_subgame_walk():
     # verify prints violations in row order, so the order is output
     cases = []
@@ -188,6 +207,13 @@ def test_row_order_and_metadata_match_the_per_subgame_walk():
         n, t = (3, 2) if trial % 2 else (2, 1)
         tree, _, profile = random_instance(rng, n_players=n, max_nodes=20)
         cases.append((tree, profile, t))
+    # coalitions of three and more players, up to the grand coalition
+    for n in (4, 4, 5, 5):
+        tree, _, profile = random_instance(rng, n_players=n, max_nodes=20)
+        cases += [(tree, profile, t) for t in range(1, n + 1)]
+    # |S| = t for leaf z at t = 2, and t = n
+    two_step, profile = _two_step()
+    cases += [(two_step, profile, 2), (two_step, profile, 3)]
     # a chance node whose only positive-probability child has p = 1, and
     # zero-probability children whose subtrees hold branches
     hand = GameTree(("A", "B"), branch("r", 0, [
@@ -225,6 +251,51 @@ def test_row_order_and_metadata_match_the_per_subgame_walk():
         r, c, value = (np.array(col) for col in zip(*triplets)) if triplets else ([], [], [])
         assert a.shape == (len(rows), tree.n * tree.m) and np.count_nonzero(a) == len(triplets)
         assert np.array_equal(a[r, c], value)
+
+
+def test_coalitions_are_the_used_ones_and_the_smallest_that_force_each_row():
+    two_step, profile = _two_step()
+    expected = {
+        2: [("r", (0,), 0, 1), ("r", (0, 1), 0, 2), ("r", (0, 1), 1, 1), ("r", (0, 1), 1, 2),
+            ("r", (0, 2), 2, 1), ("s", (1,), 1, 2), ("s", (0, 1), 0, 2), ("s", (1, 2), 2, 2)],
+        3: [("r", (0,), 0, 1), ("r", (0, 1), 0, 2), ("r", (0, 1), 1, 1), ("r", (0, 1), 1, 2),
+            ("r", (0, 2), 2, 1), ("r", (0, 1, 2), 2, 2), ("s", (1,), 1, 2), ("s", (0, 1), 0, 2),
+            ("s", (1, 2), 2, 2)],
+    }
+    for t, rows in expected.items():
+        system = build_constraints(two_step, profile, SecurityParams(delta=1.0, t=t))
+        assert list(system.rows) == [ConstraintRow(*row) for row in rows]
+    cases = [(two_step, profile, t) for t in (1, 2, 3)]
+    rng = np.random.default_rng(47)
+    for trial in range(25):
+        n = int(rng.integers(2, 6))
+        tree, _, profile = random_instance(rng, n_players=n, max_nodes=20)
+        cases += [(tree, profile, t) for t in range(1, n + 1)]
+    for tree, profile, t in cases:
+        system = build_constraints(tree, profile, SecurityParams(delta=1.0, t=t))
+        # each coalition a row uses, once, by size and then in combinations order
+        used = {row.coalition for row in system.rows}
+        every = [c for size in range(1, t + 1) for c in combinations(range(tree.n), size)]
+        assert list(system.coalitions) == [c for c in every if c in used]
+        for row in system.rows:
+            assert row.deviator in row.coalition and len(row.coalition) <= t
+            assert row.leaf in inducible_leaves(tree, row.subgame, row.coalition, profile)
+            for other in set(row.coalition) - {row.deviator}:
+                smaller = set(row.coalition) - {other}
+                assert row.leaf not in inducible_leaves(tree, row.subgame, smaller, profile)
+
+
+def test_large_coalition_bounds_cost_the_rows_not_the_coalitions():
+    # 16 parties at t = 8: 39 202 coalitions, of which the rows use 136
+    pvc = build_pvc(PvcParams(n=16, eps=0.5, u_plus=2, u_minus=-1, delta=1))
+    tracemalloc.start()
+    try:
+        system = build_constraints(pvc.tree, pvc.profile, SecurityParams(delta=1.0, t=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert len(system.coalitions) == 136 and system.alpha == 512
 
 
 def test_constraint_system_holds_no_dense_matrix():
