@@ -68,19 +68,18 @@ def run_episode(
     """Play one episode under the profile with a seeded generator."""
     _check_instance(tree, info, scheme, seed)
     j, symbol_index = _play(tree, check_profile(tree, profile), np.random.default_rng(seed))
-    lf = tree.leaves[j]
     deposits = scheme.max_deposits
     net_losses = scheme.matrix[:, symbol_index].copy()
     return Episode(
         seed=seed,
         leaf_index=j,
-        leaf_id=lf.id,
+        leaf_id=tree.leaves[j].id,
         symbol_index=symbol_index,
         symbol=info.alphabet[symbol_index],
         deposits=deposits,
         repayments=deposits - net_losses,
         net_losses=net_losses,
-        realized_utilities=np.asarray(lf.utilities) - net_losses,
+        realized_utilities=tree.u[:, j] - net_losses,
     )
 
 
@@ -125,8 +124,8 @@ def monte_carlo(
 ) -> McResult:
     """Estimate implemented utilities from `trials` episodes played in
     order from one `default_rng(seed)`; trial 0 is `run_episode(seed)`."""
-    if trials < 1:
-        raise BadParameters(f"trials must be >= 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise BadParameters(f"trials must be an integer >= 1, got {trials!r}")
     _check_instance(tree, info, scheme, seed)
     chosen = check_profile(tree, profile)
 

@@ -14,13 +14,15 @@ Every tree is laid out and validated by one function, `_assemble`, from
 the flat preorder list of `_structure`: each leaf itself, each branch or
 chance node as its kind, id, owner and child labels.  Trees built in
 code, pickled or copied trees and the document reader in `jsonio` all
-pass such a list.  `_assemble` checks each entry with the per-node rules
-(`check_new_id`, `check_leaf`, `check_branch`, `check_chance`) and fills
-the preorder arrays: `order[v]` is the node at preorder position v,
-`kids[v]` its child positions and `leaf_index[v]` its leaf number (-1
-at other nodes).  Each call resolves a strategy profile once, through
-`check_profile`, into `chosen`, the chosen child position of every
-branch; a profile that misses a branch or names another id is
+pass such a list.  `_assemble` fills the preorder arrays in one loop:
+`order[v]` is the node at preorder position v, `kids[v]` its child
+positions and `leaf_index[v]` its leaf number (-1 at other nodes).  It
+then checks each value rule once over its whole column (ids, branches,
+chance probabilities, leaves), the leaf rules on the utility matrix `u`
+(n, m) and the emission matrix `phi` (s, m), which the tree keeps,
+read-only, for every later call.  Each call resolves a strategy profile
+once, through `check_profile`, into `chosen`, the chosen child position
+of every branch; a profile that misses a branch or names another id is
 rejected.  The analyses are three loops over these arrays, one per
 question, none recursive:
 - where on-profile or coalition play can go: the top-down spread
@@ -36,7 +38,6 @@ question, none recursive:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
@@ -92,17 +93,6 @@ class Branch(_Structural):
 
     def moves(self) -> tuple[str, ...]:
         return tuple(move for move, _ in self.children)
-
-    def move_index(self, move: str) -> int:
-        for k, (name, _) in enumerate(self.children):
-            if name == move:
-                return k
-        raise MissingBranchChoice(
-            f"branch {self.id!r} has no move {move!r} (moves: {self.moves()})"
-        )
-
-    def child(self, move: str) -> "Node":
-        return self.children[self.move_index(move)][1]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -167,6 +157,10 @@ class GameTree:
     kids: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     leaf_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
     positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    # read-only: u[i, j] is player i's utility at leaf j, phi[k, j] the
+    # probability that leaf j emits symbol k
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    phi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._install(check_players(self.players), _structure(self.root))
@@ -183,15 +177,11 @@ class GameTree:
     def _install(self, players, structure):
         arrays = _assemble(structure, len(players))
         for name, value in zip(("players", "root", "order", "kids", "leaf_index", "positions",
-                                "leaves"), (players, arrays[0][0], *arrays)):
+                                "leaves", "u", "phi"), (players, arrays[0][0], *arrays)):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
         return GameTree.from_structure, (self.players, _structure(self.root))
-
-    @property
-    def nodes(self) -> dict[str, Node]:
-        return {node.id: node for node in self.order}
 
     @property
     def n(self) -> int:
@@ -203,18 +193,12 @@ class GameTree:
 
     @property
     def num_symbols(self) -> int:
-        return len(self.leaves[0].emission)
+        return self.phi.shape[0]
 
     def position(self, node_id: str) -> int:
         if node_id not in self.positions:
             raise UnknownNodeId(f"no node with id {node_id!r}")
         return self.positions[node_id]
-
-    def node(self, node_id: str) -> Node:
-        return self.order[self.position(node_id)]
-
-    def branch_ids(self) -> tuple[str, ...]:
-        return tuple(node.id for node in self.order if isinstance(node, Branch))
 
     def reach(self, start: int, chosen, free=()) -> list[tuple[int, float]]:
         """Numbers of the leaves reachable from position `start`, in leaf
@@ -251,82 +235,30 @@ def check_players(players) -> tuple[str, ...]:
     return players
 
 
-# The per-node rules.  `_assemble` applies them to every tree, and no
-# node is checked any other way.
-
-def check_new_id(positions, node_id) -> None:
-    if node_id in positions:
-        raise DuplicateNodeId(f"node id {node_id!r} appears more than once")
-
-
-def check_leaf(node_id, utilities, emission, n: int, emission_len):
-    """Returns the emission length every leaf must share (None until the
-    first leaf sets it).  A NaN or infinity fails, so does a NaN sum."""
-    if len(utilities) != n:
-        raise DimensionMismatch(f"leaf {node_id!r} has {len(utilities)} utilities, expected {n}")
-    if not all(map(math.isfinite, utilities)):
-        raise ValidationError(f"leaf {node_id!r} has a non-finite utility")
-    if emission_len is None:
-        emission_len = len(emission)
-        if emission_len < 1:
-            raise DimensionMismatch(f"leaf {node_id!r} has an empty emission pdf")
-    elif len(emission) != emission_len:
-        raise DimensionMismatch(
-            f"leaf {node_id!r} emits over {len(emission)} symbols, expected {emission_len}"
-        )
-    if min(emission) < 0:
-        raise BadProbabilitySum(f"leaf {node_id!r} has a negative emission probability")
-    total = sum(emission)
-    if not abs(total - 1.0) <= PROB_TOL:
-        raise BadProbabilitySum(f"leaf {node_id!r} emission pdf sums to {total!r}")
-    return emission_len
-
-
-def check_branch(node_id, owner: int, moves, n: int) -> None:
-    if not moves:
-        raise ValidationError(f"branch {node_id} has no children")
-    if not 0 <= owner < n:
-        raise DimensionMismatch(f"branch {node_id!r} owner {owner} out of range for {n} players")
-    if len(set(moves)) != len(moves):
-        raise ValidationError(f"branch {node_id!r} repeats a move name")
-
-
-def check_chance(node_id, probs) -> None:
-    if min(probs, default=0.0) < 0:
-        raise BadProbabilitySum(f"chance node {node_id!r} has a negative probability")
-    total = sum(probs)
-    if not abs(total - 1.0) <= PROB_TOL:
-        raise BadProbabilitySum(f"chance node {node_id!r} probabilities sum to {total!r}")
-
-
 def _assemble(structure, n: int):
-    """Check a `_structure` list entry by entry and lay the tree out in
-    preorder: (order, kids, leaf_index, positions, leaves).  Entry v is
-    the node at position v; a branch or chance node is built from its
-    children once the last of them is placed."""
+    """Lay a `_structure` list out in preorder, then check it rule by rule:
+    (order, kids, leaf_index, positions, leaves, u, phi).  Entry v is the
+    node at position v; a branch or chance node is built from its children
+    once the last of them is placed.  Each rule runs over its whole column
+    and reports the first node that breaks it, in preorder, so of several
+    faults the first rule's is reported: ids; branches (a move, an owner
+    in range, distinct move names); chance probabilities; leaf utility
+    and emission counts, utility values, emission signs, emission sums."""
     order = list(structure)
     kids: list[list[int]] = [[] for _ in order]
     leaf_index = [-1] * len(order)
-    positions: dict[str, int] = {}
     leaves: list[Leaf] = []
-    emission_len = None
+    branches: list[tuple] = []
+    chances: list[tuple] = []
     parents: list[int] = []  # branch and chance nodes still taking children
     for v, entry in enumerate(order):
         if parents:
             kids[parents[-1]].append(v)
-        node_id = entry.id if isinstance(entry, Leaf) else entry[1]
-        check_new_id(positions, node_id)
-        positions[node_id] = v
         if isinstance(entry, Leaf):
-            emission_len = check_leaf(node_id, entry.utilities, entry.emission, n, emission_len)
             leaf_index[v] = len(leaves)
             leaves.append(entry)
         else:
-            kind, _, owner, labels = entry
-            if kind is Branch:
-                check_branch(node_id, owner, labels, n)
-            else:
-                check_chance(node_id, labels)
+            (branches if entry[0] is Branch else chances).append(entry)
             parents.append(v)
         while parents and len(kids[parents[-1]]) == len(order[parents[-1]][3]):
             p = parents.pop()
@@ -334,17 +266,79 @@ def _assemble(structure, n: int):
             children = tuple(zip(labels, [order[c] for c in kids[p]]))
             order[p] = (Branch(node_id, owner, children) if kind is Branch
                         else Chance(node_id, children))
-    return (tuple(order), tuple(map(tuple, kids)), tuple(leaf_index), positions, tuple(leaves))
+
+    ids = [entry.id if isinstance(entry, Leaf) else entry[1] for entry in structure]
+    positions = dict(zip(ids, range(len(ids))))
+    if len(positions) < len(ids):
+        seen: set = set()
+        for node_id in ids:
+            if node_id in seen:
+                raise DuplicateNodeId(f"node id {node_id!r} appears more than once")
+            seen.add(node_id)
+
+    for _, node_id, owner, moves in branches:
+        if not moves:
+            raise ValidationError(f"branch {node_id} has no children")
+        if not 0 <= owner < n:
+            raise DimensionMismatch(f"branch {node_id!r} owner {owner} out of range for {n} players")
+        if len(set(moves)) != len(moves):
+            raise ValidationError(f"branch {node_id!r} repeats a move name")
+    for _, node_id, _, probs in chances:
+        if min(probs, default=0.0) < 0:
+            raise BadProbabilitySum(f"chance node {node_id!r} has a negative probability")
+        total = sum(probs)
+        if not abs(total - 1.0) <= PROB_TOL:
+            raise BadProbabilitySum(f"chance node {node_id!r} probabilities sum to {total!r}")
+
+    # every branch and chance node has a child by now, so m >= 1
+    s = len(leaves[0].emission)
+    if s < 1:
+        raise DimensionMismatch(f"leaf {leaves[0].id!r} has an empty emission pdf")
+    for lf in leaves:
+        if len(lf.utilities) != n:
+            raise DimensionMismatch(f"leaf {lf.id!r} has {len(lf.utilities)} utilities, expected {n}")
+        if len(lf.emission) != s:
+            raise DimensionMismatch(
+                f"leaf {lf.id!r} emits over {len(lf.emission)} symbols, expected {s}"
+            )
+    # one row per leaf here; the tree keeps the transposes
+    u = np.array([lf.utilities for lf in leaves], dtype=np.float64)
+    finite = np.isfinite(u).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"leaf {leaves[finite.argmin()].id!r} has a non-finite utility")
+    phi = np.array([lf.emission for lf in leaves], dtype=np.float64)
+    check_emission_columns(phi.T, lambda j: f"leaf {leaves[j].id!r}")
+    u.setflags(write=False)
+    phi.setflags(write=False)
+    return (tuple(order), tuple(map(tuple, kids)), tuple(leaf_index), positions, tuple(leaves),
+            u.T, phi.T)
+
+
+def check_emission_columns(phi: np.ndarray, name) -> None:
+    """Require each column of the (s, m) array `phi` to be a pdf: first no
+    negative entry in any column, then every sum within PROB_TOL of 1,
+    which a NaN sum fails.  The first bad column j is named `name(j)` in
+    the error.  Each sum adds the symbols in order from 0.0, as a loop over
+    one leaf's emission does, rather than in numpy's pairwise order."""
+    negative = np.flatnonzero((phi < 0).any(axis=0))
+    if negative.size:
+        raise BadProbabilitySum(f"{name(negative[0])} has a negative emission probability")
+    total = np.zeros(phi.shape[1])
+    for row in phi:
+        total += row
+    bad = np.flatnonzero(~(np.abs(total - 1.0) <= PROB_TOL))
+    if bad.size:
+        raise BadProbabilitySum(f"{name(bad[0])} emission pdf sums to {float(total[bad[0]])!r}")
 
 
 def utility_matrix(tree: GameTree) -> np.ndarray:
-    u = np.array([lf.utilities for lf in tree.leaves], dtype=np.float64).T
-    return u.reshape(tree.n, tree.m)
+    """The (n, m) utilities, one column per leaf; read-only."""
+    return tree.u
 
 
 def emission_stack(tree: GameTree) -> np.ndarray:
-    """Column-stack the leaf emission pdfs: shape (num_symbols, m)."""
-    return np.array([lf.emission for lf in tree.leaves], dtype=np.float64).T
+    """The (num_symbols, m) leaf emission pdfs, one column per leaf; read-only."""
+    return tree.phi
 
 
 def check_profile(tree: GameTree, profile: StrategyProfile) -> list[int]:
@@ -359,7 +353,14 @@ def check_profile(tree: GameTree, profile: StrategyProfile) -> list[int]:
         if isinstance(node, Branch):
             if node.id not in profile:
                 raise MissingBranchChoice(f"profile has no move for branch {node.id!r}")
-            chosen[v] = tree.kids[v][node.move_index(profile[node.id])]
+            move = profile[node.id]
+            for k, (name, _) in enumerate(node.children):
+                if name == move:
+                    chosen[v] = tree.kids[v][k]
+                    break
+            else:
+                raise MissingBranchChoice(
+                    f"branch {node.id!r} has no move {move!r} (moves: {node.moves()})")
     return chosen
 
 
@@ -404,7 +405,7 @@ def honest_outcome(tree: GameTree, root_id: str, profile: StrategyProfile):
     u = np.zeros(tree.n)
     for j, p in tree.reach(start, check_profile(tree, profile)):
         w[j] += p
-        u = u + p * np.asarray(tree.leaves[j].utilities, dtype=np.float64)
+        u = u + p * tree.u[:, j]
     return w, u
 
 

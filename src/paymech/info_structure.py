@@ -15,21 +15,22 @@ import numpy as np
 
 from .errors import (
     BadParameters,
-    BadProbabilitySum,
     DimensionMismatch,
     NotLeftInvertible,
     TargetNotImplementable,
     ValidationError,
 )
-from .game_core import GameTree, emission_stack
+from .game_core import GameTree, check_emission_columns
 
-PROB_TOL = 1e-9
 RANK_REL_TOL = 1e-10
 TARGET_RESIDUAL_TOL = 1e-8
 SUM_TOL = 1e-9
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of `values`; an array already read-only is shared."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -57,11 +58,7 @@ class InfoStructure:
             )
         if phi.shape[1] < 1:
             raise DimensionMismatch("emission matrix needs at least one column")
-        if np.any(phi < 0):
-            raise BadProbabilitySum("emission probabilities must be nonnegative")
-        sums = phi.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > PROB_TOL):
-            raise BadProbabilitySum(f"emission columns must sum to 1, got {sums}")
+        check_emission_columns(phi, lambda j: f"leaf column {j}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "phi", phi)
 
@@ -75,13 +72,13 @@ class InfoStructure:
 
     @classmethod
     def from_tree(cls, tree: GameTree, alphabet) -> "InfoStructure":
-        """Assemble the information structure from the tree's leaf emissions."""
-        phi = emission_stack(tree)
-        if phi.shape[0] != len(tuple(alphabet)):
+        """The information structure of the tree's leaf emissions; it shares
+        the tree's read-only `phi`."""
+        if tree.num_symbols != len(tuple(alphabet)):
             raise DimensionMismatch(
-                f"leaves emit over {phi.shape[0]} symbols, alphabet has {len(tuple(alphabet))}"
+                f"leaves emit over {tree.num_symbols} symbols, alphabet has {len(tuple(alphabet))}"
             )
-        return cls(tuple(alphabet), phi)
+        return cls(tuple(alphabet), tree.phi)
 
     def __eq__(self, other):
         if not isinstance(other, InfoStructure):

@@ -48,8 +48,10 @@ class SecurityParams:
     t: int = 1
 
     def __post_init__(self):
-        if not np.isfinite(self.delta) or self.delta < 0:
-            raise BadParameters(f"delta must be finite and nonnegative, got {self.delta}")
+        real = (int, float, np.integer, np.floating)
+        if (isinstance(self.delta, bool) or not isinstance(self.delta, real)
+                or not np.isfinite(self.delta) or self.delta < 0):
+            raise BadParameters(f"delta must be a finite nonnegative number, got {self.delta!r}")
         if isinstance(self.t, bool) or not isinstance(self.t, (int, np.integer)) or self.t < 1:
             raise BadParameters(f"coalition bound t must be an integer >= 1, got {self.t!r}")
 

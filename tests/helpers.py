@@ -96,10 +96,10 @@ def chain_tree(depth):
 
 def random_profile(rng, tree):
     out = {}
-    for node_id in tree.branch_ids():
-        node = tree.node(node_id)
-        moves = node.moves()
-        out[node_id] = moves[int(rng.integers(len(moves)))]
+    for node in tree.order:
+        if isinstance(node, Branch):
+            moves = node.moves()
+            out[node.id] = moves[int(rng.integers(len(moves)))]
     return out
 
 
@@ -143,28 +143,27 @@ def _replace_emissions(node, phi, next_index=None):
 
 def _subtree_branches(tree, root_id):
     out = []
-    stack = [tree.node(root_id)]
+    stack = [tree.position(root_id)]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Branch):
-            out.append(node)
-            stack.extend(child for _, child in node.children)
-        elif isinstance(node, Chance):
-            stack.extend(child for _, child in node.children)
+        v = stack.pop()
+        if isinstance(tree.order[v], Branch):
+            out.append(tree.order[v])
+        stack.extend(tree.kids[v])
     return out
 
 
 def _reached(tree, root_id, moves, profile):
     found = set()
-    stack = [tree.node(root_id)]
+    stack = [tree.position(root_id)]
     while stack:
-        node = stack.pop()
+        v = stack.pop()
+        node = tree.order[v]
         if isinstance(node, Leaf):
-            found.add(tree.leaf_index[tree.position(node.id)])
+            found.add(tree.leaf_index[v])
         elif isinstance(node, Branch):
-            stack.append(node.child(moves.get(node.id, profile[node.id])))
+            stack.append(tree.kids[v][node.moves().index(moves.get(node.id, profile[node.id]))])
         else:
-            stack.extend(child for p, child in node.children if p > 0)
+            stack.extend(c for (p, _), c in zip(node.children, tree.kids[v]) if p > 0)
     return found
 
 

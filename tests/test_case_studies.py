@@ -159,7 +159,7 @@ class TestPvc:
         inst = build_pvc(pvc.params, collapse=False)
         assert not inst.collapsed
         assert inst.tree.m == 3 * pvc.params.n + 1
-        assert any(isinstance(node, Chance) for node in inst.tree.nodes.values())
+        assert any(isinstance(node, Chance) for node in inst.tree.order)
         # the scheme is always derived against the collapsed tree
         np.testing.assert_allclose(inst.scheme.matrix, pvc.scheme.matrix, atol=1e-12)
         # expected play is identical in both forms

@@ -100,8 +100,11 @@ def test_single_trial_zero_errors(commerce_inst):
 
 def test_trial_count_validation(commerce_inst):
     inst = commerce_inst
-    with pytest.raises(BadParameters):
-        monte_carlo(inst.tree, inst.info, inst.scheme, inst.profile, trials=0, seed=0)
+    for trials in (0, -3, 2.5, 3.0, "3", True, None):
+        with pytest.raises(BadParameters, match="trials must be an integer >= 1"):
+            monte_carlo(inst.tree, inst.info, inst.scheme, inst.profile, trials=trials, seed=0)
+    assert monte_carlo(inst.tree, inst.info, inst.scheme, inst.profile,
+                       trials=np.int64(3), seed=0).trials == 3
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.5])

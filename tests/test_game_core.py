@@ -2,15 +2,19 @@
 
 import ast
 import copy
+import importlib
 import inspect
 import math
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
 from paymech import (
     BadProbabilitySum,
+    Branch,
+    Chance,
     ConstraintRow,
     InfoStructure,
     PaymentScheme,
@@ -37,7 +41,7 @@ from paymech import (
     utility_matrix,
 )
 
-from paymech import escrow, game_core, jsonio, security
+import paymech
 
 from .helpers import random_profile, random_tree
 
@@ -100,6 +104,26 @@ def test_utility_and_emission_matrices_follow_leaf_order():
     np.testing.assert_array_equal(
         emission_stack(tree), [[1, 0, 1, 0.5], [0, 1, 0, 0.5]]
     )
+
+
+def test_stored_matrices_are_the_leaf_tuples_and_read_only():
+    rng = np.random.default_rng(17)
+    with_chance = 0
+    for _ in range(200):
+        tree = random_tree(rng, n_players=int(rng.integers(1, 4)),
+                           num_symbols=int(rng.integers(1, 12)), max_nodes=40)
+        with_chance += any(isinstance(node, Chance) for node in tree.order)
+        u = np.array([lf.utilities for lf in tree.leaves]).T
+        phi = np.array([lf.emission for lf in tree.leaves]).T
+        for got, want in ((tree.u, u), (utility_matrix(tree), u),
+                          (tree.phi, phi), (emission_stack(tree), phi)):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0] = 1.0
+        alphabet = [f"s{k}" for k in range(tree.num_symbols)]
+        assert InfoStructure.from_tree(tree, alphabet).phi is tree.phi
+    assert with_chance > 50
 
 
 def test_duplicate_node_id_rejected():
@@ -232,8 +256,10 @@ def test_backward_induction_immune_to_single_deviations(allow_chance):
             root: honest_outcome(tree, root, profile)[1]
             for root in subgame_ids(tree)
         }
-        for nid in tree.branch_ids():
-            node = tree.node(nid)
+        for node in tree.order:
+            if not isinstance(node, Branch):
+                continue
+            nid = node.id
             for move in node.moves():
                 if move == profile[nid]:
                     continue
@@ -341,8 +367,10 @@ def test_deep_chain_analyses_match_plain_loops():
 
 
 def test_tree_modules_never_recurse():
-    # deep chains rely on every tree walk being a loop: no function may
-    # call itself, directly or as a method of self or cls
+    # deep chains rely on every tree walk being a loop: no function in the
+    # package may call itself, directly or as a method of self or cls.  The
+    # one bounded self-call: `simplex.solve` re-solves once with c = 0,
+    # which always has a dual point, to tell infeasible from unbounded
     def calls_itself(fn):
         for call in ast.walk(fn):
             if not isinstance(call, ast.Call):
@@ -356,9 +384,13 @@ def test_tree_modules_never_recurse():
         return False
 
     recursive = []
-    for module in (game_core, jsonio, security, escrow):
+    # every module but the package's __init__, which only imports
+    modules = [importlib.import_module(f"paymech.{info.name}")
+               for info in pkgutil.iter_modules(paymech.__path__)]
+    assert len(modules) >= 12
+    for module in modules:
         functions = [f for f in ast.walk(ast.parse(inspect.getsource(module)))
                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
         assert functions, module.__name__
         recursive += [f"{module.__name__}.{f.name}" for f in functions if calls_itself(f)]
-    assert recursive == []
+    assert recursive == ["paymech.simplex.solve"]

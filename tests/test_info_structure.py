@@ -32,6 +32,14 @@ def test_info_structure_validation():
         InfoStructure(("a", "b", "c"), [[1.0], [0.0]])
     with pytest.raises(BadParameters):
         InfoStructure(("a", "a"), [[0.5, 0.5], [0.5, 0.5]])
+    # a NaN sum is not within tolerance of 1, nor is an infinite entry's
+    nan, inf = float("nan"), float("inf")
+    for phi, message in [([[nan], [nan]], "leaf column 0 emission pdf sums to nan"),
+                         ([[1.0, nan], [0.0, 1.0]], "leaf column 1 emission pdf sums to nan"),
+                         ([[1.0, inf], [0.0, 0.0]], "leaf column 1 emission pdf sums to inf"),
+                         ([[1.0, -inf], [0.0, inf]], "leaf column 1 has a negative emission")]:
+        with pytest.raises(BadProbabilitySum, match=message):
+            InfoStructure(("a", "b"), phi)
     info = InfoStructure(("a", "b"), [[0.5, 1.0], [0.5, 0.0]])
     assert info.s == 2 and info.m == 2
 

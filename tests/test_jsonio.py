@@ -264,6 +264,40 @@ class TestGameDocs:
         with pytest.raises(BadParameters, match="player names must be unique"):
             parse_game_doc(doc)
 
+    def test_value_faults_come_rule_by_rule(self):
+        # each value rule runs over the whole tree before the next, in the
+        # order ids, branches, chance nodes, leaf counts, utility values,
+        # emission signs, emission sums; within a rule the first node in
+        # preorder is reported.  The first fault of each pair sits earlier
+        # in preorder (root, coin, heads, tails, reply, stay) but breaks a
+        # later rule, so the second fault is the one reported
+        for first, second, exc, message in [
+            (lambda d: _heads(d).update(emission=[-0.5, 1.5]),
+             lambda d: _stay(d).update(id="tails"),
+             DuplicateNodeId, "node id 'tails' appears more than once"),
+            (lambda d: _coin_p(d, 0.5),
+             lambda d: _reply(d).update(children={}),
+             ValidationError, "branch reply has no children"),
+            (lambda d: _heads(d).update(utilities=[1]),
+             lambda d: _reply(d).update(owner=2),
+             DimensionMismatch, "branch 'reply' owner 2 out of range for 2 players"),
+            (lambda d: _heads(d).update(utilities=[math.inf, 0]),
+             lambda d: _stay(d).update(emission=[0, 0.5, 0.5]),
+             DimensionMismatch, "leaf 'stay' emits over 3 symbols, expected 2"),
+            (lambda d: _heads(d).update(emission=[math.nan, math.nan]),
+             lambda d: _stay(d).update(utilities=[3, math.nan]),
+             ValidationError, "leaf 'stay' has a non-finite utility"),
+            (lambda d: _heads(d).update(emission=[0.5, 0]),
+             lambda d: _stay(d).update(emission=[-0.5, 1.5]),
+             BadProbabilitySum, "leaf 'stay' has a negative emission probability"),
+        ]:
+            doc = copy.deepcopy(FAULT_BASE)
+            first(doc)
+            second(doc)
+            with pytest.raises(ValidationError) as info:
+                parse_game_doc(doc)
+            assert (type(info.value), str(info.value)) == (exc, message)
+
     def test_compiled_layout_matches_code_built_tree(self, commerce, pvc):
         cases = [
             (commerce.tree, parse_game_doc(json.loads(dumps_canonical(game_to_doc(

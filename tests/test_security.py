@@ -37,6 +37,11 @@ def test_security_params_validation():
         SecurityParams(delta=np.inf)
     with pytest.raises(BadParameters):
         SecurityParams(delta=0.0, t=0)
+    for delta in ("1", None, True, np.bool_(False), 1j, np.complex128(1), np.nan, -np.inf):
+        with pytest.raises(BadParameters, match="delta must be"):
+            SecurityParams(delta=delta)
+    assert SecurityParams(delta=np.float32(0.5)).delta == 0.5
+    assert SecurityParams(delta=np.int64(2)).delta == 2
     for t in (1.5, 2.0, True, False, "2", None):
         with pytest.raises(BadParameters, match="coalition bound t"):
             SecurityParams(delta=0.0, t=t)
