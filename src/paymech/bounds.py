@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConstraints, ValidationError
-from .game_core import GameTree, StrategyProfile, utility_matrix
+from .game_core import GameTree, StrategyProfile
 from .info_structure import InfoStructure
 from .security import ConstraintSystem, SecurityParams, build_constraints
 from .synthesis import _minmax_payment
@@ -81,7 +81,7 @@ def deposit_lower_bound(
     delta_g = _minmax_payment(tree, info, profile, system)
     if system.alpha == 0:
         raise NoConstraints("no security constraints generated", min_max_deposit=delta_g)
-    au = constraint_utility_product(system, utility_matrix(tree))
+    au = constraint_utility_product(system, tree.u)
     au_norm = spectral_norm(au)
     n, s, alpha = tree.n, info.s, system.alpha
     # two readings of the rhs-vector norm: row-sum style and plain Euclidean

@@ -16,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadParameters, NumericalBreakdown
-from .game_core import GameTree, branch, chance, leaf, utility_matrix
+from .game_core import GameTree, branch, chance, leaf
 from .info_structure import InfoStructure, PaymentScheme, scheme_diagnostics
 
 
@@ -242,7 +242,7 @@ def build_pvc(params: PvcParams, collapse: bool = True) -> PvcInstance:
     collapsed_tree = _pvc_tree(params, collapse=True)
     collapsed_info = InfoStructure.from_tree(collapsed_tree, alphabet)
 
-    u = utility_matrix(collapsed_tree)
+    u = collapsed_tree.u
     m = 2 * n + 1
     target_e = np.zeros((n, m))
     target_e[:, m - 1] = 1.0

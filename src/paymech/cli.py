@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .escrow import monte_carlo
-from .game_core import backward_induction, expected_utilities, utility_matrix
+from .game_core import backward_induction, expected_utilities
 from .info_structure import scheme_for_target
 from .reductions import AlaSpec, ala_scheme, lp_to_game
 from .security import SecurityParams, verify
@@ -154,7 +154,7 @@ def _cmd_implement(args, stdout, stderr, stdin) -> int:
     target_doc = _read_doc(args.target, stdin)
     if not isinstance(target_doc, dict) or "target_e" not in target_doc:
         raise ValidationError("target document must contain 'target_e'")
-    u = utility_matrix(game.tree)
+    u = game.tree.u
     target = jsonio.read_array(target_doc["target_e"], "target_e", u.shape)
     try:
         scheme = scheme_for_target(u, target, game.info)

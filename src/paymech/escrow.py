@@ -18,7 +18,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch
-from .game_core import Branch, GameTree, StrategyProfile, check_profile, utility_matrix
+from .game_core import GameTree, StrategyProfile, check_profile
 from .info_structure import InfoStructure, PaymentScheme
 
 
@@ -67,13 +67,15 @@ def run_episode(
 ) -> Episode:
     """Play one episode under the profile with a seeded generator."""
     _check_instance(tree, info, scheme, seed)
-    j, symbol_index = _play(tree, check_profile(tree, profile), np.random.default_rng(seed))
+    v, symbol_index = _play(tree, check_profile(tree, profile), tree.phi.T,
+                            np.random.default_rng(seed))
+    j = tree.leaf_index[v]
     deposits = scheme.max_deposits
     net_losses = scheme.matrix[:, symbol_index].copy()
     return Episode(
         seed=seed,
         leaf_index=j,
-        leaf_id=tree.leaves[j].id,
+        leaf_id=tree.ids[v],
         symbol_index=symbol_index,
         symbol=info.alphabet[symbol_index],
         deposits=deposits,
@@ -83,17 +85,14 @@ def run_episode(
     )
 
 
-def _play(tree, chosen, rng):
-    """The leaf number and the symbol index of one episode under `chosen`,
-    drawn from `rng`."""
+def _play(tree, chosen, emissions, rng):
+    """The leaf position and the symbol index of one episode under
+    `chosen`, drawn from `rng`; `emissions[j]` is leaf j's pdf."""
+    kids, owner, labels = tree.kids, tree.owner, tree.labels
     v = 0
-    while tree.kids[v]:
-        node = tree.order[v]
-        if isinstance(node, Branch):
-            v = chosen[v]
-        else:
-            v = tree.kids[v][_sample_index([p for p, _ in node.children], rng)]
-    return tree.leaf_index[v], _sample_index(tree.order[v].emission, rng)
+    while kids[v]:
+        v = chosen[v] if owner[v] >= 0 else kids[v][_sample_index(labels[v], rng)]
+    return v, _sample_index(emissions[tree.leaf_index[v]], rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +129,13 @@ def monte_carlo(
     chosen = check_profile(tree, profile)
 
     rng = np.random.default_rng(seed)
-    plays = [_play(tree, chosen, rng) for _ in range(trials)]
-    leaves = np.array([j for j, _ in plays])
+    emissions = tree.phi.T.tolist()
+    plays = [_play(tree, chosen, emissions, rng) for _ in range(trials)]
+    leaves = np.array([tree.leaf_index[v] for v, _ in plays])
     symbols = np.array([k for _, k in plays])
     # one C-ordered row per trial, as run_episode prices it
     losses = scheme.matrix.T[symbols]
-    utilities = utility_matrix(tree).T[leaves] - losses
+    utilities = tree.u.T[leaves] - losses
     counts = np.bincount(symbols, minlength=info.s)
 
     if trials > 1:

@@ -1,30 +1,32 @@
 """Finite extensive-form games of perfect information.
 
-A game tree is built from three node kinds: decision nodes owned by a
+A game is built in code from three node kinds: decision nodes owned by a
 player (Branch), random moves with fixed probabilities (Chance), and
 terminal nodes (Leaf).  Every leaf carries a utility vector, one entry
 per player, and an emission distribution over the symbols of whatever
-reporting mechanism observes the play.  Leaves are numbered 0..m-1 in
-depth-first, left-to-right order; that order fixes the columns of the
-utility matrix and of the emission matrix everywhere else in the
-package.  The number belongs to the compiled tree, not to the `Leaf`,
-so one leaf object can sit at different places in different trees.
+reporting mechanism observes the play.
+
+A `GameTree` keeps no node object: it is columns over preorder
+positions, position 0 the root.  `ids[v]` is the node's id, `owner[v]`
+its player (-1 off branches), `labels[v]` its move names at a branch,
+its child probabilities at a chance node and () at a leaf, `kids[v]` its
+child positions and `leaf_index[v]` its leaf number (-1 at other nodes).
+Leaves are numbered 0..m-1 in preorder; that order fixes the columns of
+the utility matrix `u` (n, m) and of the emission matrix `phi` (s, m),
+which the tree keeps read-only.  A node with a leaf number is a leaf,
+one with an owner a branch, any other a chance node.
 
 Every tree is laid out and validated by one function, `_assemble`, from
-the flat preorder list of `_structure`: each leaf itself, each branch or
-chance node as its kind, id, owner and child labels.  Trees built in
-code, pickled or copied trees and the document reader in `jsonio` all
-pass such a list.  `_assemble` fills the preorder arrays in one loop:
-`order[v]` is the node at preorder position v, `kids[v]` its child
-positions and `leaf_index[v]` its leaf number (-1 at other nodes).  It
-then checks each value rule once over its whole column (ids, branches,
-chance probabilities, leaves), the leaf rules on the utility matrix `u`
-(n, m) and the emission matrix `phi` (s, m), which the tree keeps,
-read-only, for every later call.  Each call resolves a strategy profile
-once, through `check_profile`, into `chosen`, the chosen child position
-of every branch; a profile that misses a branch or names another id is
-rejected.  The analyses are three loops over these arrays, one per
-question, none recursive:
+(id, kind, owner, labels) per node plus one utility and one emission row
+per leaf: `_structure` flattens a nested tree built in code into them,
+the document reader in `jsonio` emits them, and pickles and copies take
+them from the tree's columns.  `_assemble` places the children in one
+preorder loop, then checks each value rule once over its whole column
+(ids, branches, chance probabilities, leaves).  Each call resolves a
+strategy profile once, through `check_profile`, into `chosen`, the
+chosen child position of every branch; a profile that misses a branch
+or names another id is rejected.  The analyses are three loops over
+these columns, one per question, none recursive:
 - where on-profile or coalition play can go: the top-down spread
   `GameTree.reach`, which yields leaf numbers (`honest_outcome`,
   `expected_utilities`, `inducible_leaves`, and a chance node's honest
@@ -32,13 +34,13 @@ question, none recursive:
 - what each player should do: `backward_induction`, one pass over
   reversed preorder;
 - where one episode goes: the sampled path of an escrow episode.
-`security.build_constraints` loops over no other node: it copies `kids`,
-`leaf_index` and `chosen` into numpy arrays and works on those.
+`security.build_constraints` loops over no other node: it copies the
+columns and `chosen` into numpy arrays and works on those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -91,9 +93,6 @@ class Branch(_Structural):
     owner: int
     children: tuple[tuple[str, "Node"], ...]
 
-    def moves(self) -> tuple[str, ...]:
-        return tuple(move for move, _ in self.children)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Chance(_Structural):
@@ -105,21 +104,28 @@ Node = Union[Branch, Chance, Leaf]
 
 
 def _structure(root: Node) -> tuple:
-    """Every node under `root` in preorder, as its own fields: a leaf
-    itself, another node its type, id, owner (-1 for chance) and child
-    labels.  Equal exactly when the nested trees are."""
-    out, stack = [], [root]
+    """What `_assemble` reads, over every node under `root` in preorder:
+    (id, kind, owner, labels) per node, the kind "leaf", "branch" or
+    "chance", the owner -1 off branches and the labels moves,
+    probabilities or () at a leaf; then one utility row and one emission
+    row per leaf.  Equal exactly when the nested trees are."""
+    nodes, utilities, emissions = [], [], []
+    stack = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, Leaf):
-            out.append(node)
-        elif isinstance(node, (Branch, Chance)):
-            out.append((type(node), node.id, getattr(node, "owner", -1),
-                        tuple(k for k, _ in node.children)))
-            stack.extend(child for _, child in reversed(node.children))
+            kind, owner, children = "leaf", -1, ()
+            utilities.append(node.utilities)
+            emissions.append(node.emission)
+        elif isinstance(node, Branch):
+            kind, owner, children = "branch", node.owner, node.children
+        elif isinstance(node, Chance):
+            kind, owner, children = "chance", -1, node.children
         else:
             raise ValidationError(f"unknown node type {type(node).__name__}")
-    return tuple(out)
+        nodes.append((node.id, kind, owner, tuple(k for k, _ in children)))
+        stack.extend(child for _, child in reversed(children))
+    return tuple(nodes), tuple(utilities), tuple(emissions)
 
 
 def leaf(node_id: str, utilities: Iterable[float], emission: Iterable[float]) -> Leaf:
@@ -136,52 +142,68 @@ def chance(node_id: str, children: Iterable[tuple[float, Node]]) -> Chance:
     return Chance(node_id, tuple((float(p), c) for p, c in children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class GameTree:
-    """A validated game tree, compiled into preorder arrays.
+    """A validated game tree: columns over preorder positions.
 
-    Validation happens at construction: node ids must be unique, chance
-    probabilities and leaf emissions must be distributions, utility
-    vectors must be finite and match the player count, and all leaves
-    must emit over the same symbol count.  Leaves are numbered
-    depth-first.  `root` is rebuilt, equal to the root passed in but not
-    the same object.  Pickling and deepcopy go through the flat
-    `_structure` list, so deep trees do not recurse.
+    `GameTree(players, root)` takes a nested tree built from `leaf`,
+    `branch` and `chance`.  Validation happens at construction: node ids
+    must be unique, chance probabilities and leaf emissions must be
+    distributions, utility vectors must be finite and match the player
+    count, and all leaves must emit over the same symbol count.  Pickling,
+    deepcopy, == and hash go through the columns, so deep trees do not
+    recurse; a zero utility or probability equals its negative, as it
+    does in a tuple.
     """
 
     players: tuple[str, ...]
-    root: Node
-    leaves: tuple[Leaf, ...] = field(init=False, repr=False, compare=False)
-    # position = preorder id; order[0] is the root
-    order: tuple[Node, ...] = field(init=False, repr=False, compare=False)
-    kids: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    leaf_index: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    ids: tuple[str, ...]
+    owner: tuple[int, ...]  # -1 off branches
+    labels: tuple[tuple, ...]  # moves, probabilities, or () at a leaf
+    kids: tuple[tuple[int, ...], ...]
+    leaf_index: tuple[int, ...]  # -1 off leaves
+    positions: dict[str, int]
     # read-only: u[i, j] is player i's utility at leaf j, phi[k, j] the
     # probability that leaf j emits symbol k
-    u: np.ndarray = field(init=False, repr=False, compare=False)
-    phi: np.ndarray = field(init=False, repr=False, compare=False)
+    u: np.ndarray
+    phi: np.ndarray
 
-    def __post_init__(self):
-        self._install(check_players(self.players), _structure(self.root))
+    def __init__(self, players, root: Node):
+        self._install(check_players(players), _structure(root))
 
     @classmethod
-    def from_structure(cls, players: tuple[str, ...], structure) -> "GameTree":
-        """The tree whose `_structure` list this is, with `players` as
-        `check_players` returns them: the form pickles keep and the
-        document reader emits."""
+    def from_nodes(cls, players: tuple[str, ...], structure) -> "GameTree":
+        """The tree of the `_structure` triple `structure`, with `players`
+        as `check_players` returns them: the form the document reader
+        emits."""
         tree = object.__new__(cls)
         tree._install(players, structure)
         return tree
 
     def _install(self, players, structure):
-        arrays = _assemble(structure, len(players))
-        for name, value in zip(("players", "root", "order", "kids", "leaf_index", "positions",
-                                "leaves", "u", "phi"), (players, arrays[0][0], *arrays)):
-            object.__setattr__(self, name, value)
+        for f, value in zip(fields(self), (players, *_assemble(len(players), *structure))):
+            object.__setattr__(self, f.name, value)
 
     def __reduce__(self):
-        return GameTree.from_structure, (self.players, _structure(self.root))
+        kinds = ("leaf" if j >= 0 else "chance" if o < 0 else "branch"
+                 for j, o in zip(self.leaf_index, self.owner))
+        nodes = tuple(zip(self.ids, kinds, self.owner, self.labels))
+        return GameTree.from_nodes, (self.players, (nodes, self.u.T, self.phi.T))
+
+    def __eq__(self, other):
+        if type(other) is not GameTree:
+            return NotImplemented
+        return ((self.players, self.ids, self.owner, self.labels)
+                == (other.players, other.ids, other.owner, other.labels)
+                and np.array_equal(self.u, other.u) and np.array_equal(self.phi, other.phi))
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0
+        return hash((self.players, self.ids, self.owner, self.labels,
+                     (self.u + 0.0).tobytes(), (self.phi + 0.0).tobytes()))
+
+    def __repr__(self):
+        return f"GameTree(players={self.players!r}, nodes={len(self.ids)}, leaves={self.m})"
 
     @property
     def n(self) -> int:
@@ -189,7 +211,7 @@ class GameTree:
 
     @property
     def m(self) -> int:
-        return len(self.leaves)
+        return self.u.shape[1]
 
     @property
     def num_symbols(self) -> int:
@@ -206,19 +228,18 @@ class GameTree:
         path.  Branches of players in `free` take every move, the others
         their `chosen` child; chance nodes spread over their
         positive-probability children."""
-        order, kids, leaf_index = self.order, self.kids, self.leaf_index
+        owner, labels, kids, leaf_index = self.owner, self.labels, self.kids, self.leaf_index
         out = []
         todo = [(start, 1.0)]
         while todo:
             v, p = todo.pop()
-            node = order[v]
-            if isinstance(node, Leaf):
+            if leaf_index[v] >= 0:
                 out.append((leaf_index[v], p))
-            elif isinstance(node, Chance):
-                for (q, _), c in zip(node.children[::-1], kids[v][::-1]):
+            elif owner[v] < 0:
+                for q, c in zip(labels[v][::-1], kids[v][::-1]):
                     if q > 0:
                         todo.append((c, p * q))
-            elif node.owner in free:
+            elif owner[v] in free:
                 todo.extend((c, p) for c in kids[v][::-1])
             else:
                 todo.append((chosen[v], p))
@@ -235,39 +256,31 @@ def check_players(players) -> tuple[str, ...]:
     return players
 
 
-def _assemble(structure, n: int):
-    """Lay a `_structure` list out in preorder, then check it rule by rule:
-    (order, kids, leaf_index, positions, leaves, u, phi).  Entry v is the
-    node at position v; a branch or chance node is built from its children
-    once the last of them is placed.  Each rule runs over its whole column
-    and reports the first node that breaks it, in preorder, so of several
-    faults the first rule's is reported: ids; branches (a move, an owner
-    in range, distinct move names); chance probabilities; leaf utility
-    and emission counts, utility values, emission signs, emission sums."""
-    order = list(structure)
-    kids: list[list[int]] = [[] for _ in order]
-    leaf_index = [-1] * len(order)
-    leaves: list[Leaf] = []
-    branches: list[tuple] = []
-    chances: list[tuple] = []
+def _assemble(n: int, nodes, utilities, emissions):
+    """Lay the `_structure` triple out in preorder, then check it rule by
+    rule: (ids, owner, labels, kids, leaf_index, positions, u, phi).
+    Each node's children are the nodes placed after it until it has one
+    per label.  Each rule runs over its whole column and reports the first
+    node that breaks it, in preorder, so of several faults the first
+    rule's is reported: ids; branches (a move, an owner in range, distinct
+    move names); chance probabilities; leaf utility and emission counts,
+    utility values, emission signs, emission sums."""
+    ids, kinds, owners, labels = zip(*nodes)
+    kids: list[list[int]] = [[] for _ in ids]
+    leaf_index = [-1] * len(ids)
+    leaves: list[int] = []  # position of each leaf
     parents: list[int] = []  # branch and chance nodes still taking children
-    for v, entry in enumerate(order):
+    for v, kind in enumerate(kinds):
         if parents:
             kids[parents[-1]].append(v)
-        if isinstance(entry, Leaf):
+        if kind == "leaf":
             leaf_index[v] = len(leaves)
-            leaves.append(entry)
+            leaves.append(v)
         else:
-            (branches if entry[0] is Branch else chances).append(entry)
             parents.append(v)
-        while parents and len(kids[parents[-1]]) == len(order[parents[-1]][3]):
-            p = parents.pop()
-            kind, node_id, owner, labels = order[p]
-            children = tuple(zip(labels, [order[c] for c in kids[p]]))
-            order[p] = (Branch(node_id, owner, children) if kind is Branch
-                        else Chance(node_id, children))
+        while parents and len(kids[parents[-1]]) == len(labels[parents[-1]]):
+            parents.pop()
 
-    ids = [entry.id if isinstance(entry, Leaf) else entry[1] for entry in structure]
     positions = dict(zip(ids, range(len(ids))))
     if len(positions) < len(ids):
         seen: set = set()
@@ -276,42 +289,45 @@ def _assemble(structure, n: int):
                 raise DuplicateNodeId(f"node id {node_id!r} appears more than once")
             seen.add(node_id)
 
-    for _, node_id, owner, moves in branches:
-        if not moves:
-            raise ValidationError(f"branch {node_id} has no children")
-        if not 0 <= owner < n:
-            raise DimensionMismatch(f"branch {node_id!r} owner {owner} out of range for {n} players")
-        if len(set(moves)) != len(moves):
-            raise ValidationError(f"branch {node_id!r} repeats a move name")
-    for _, node_id, _, probs in chances:
-        if min(probs, default=0.0) < 0:
-            raise BadProbabilitySum(f"chance node {node_id!r} has a negative probability")
-        total = sum(probs)
-        if not abs(total - 1.0) <= PROB_TOL:
-            raise BadProbabilitySum(f"chance node {node_id!r} probabilities sum to {total!r}")
+    for v, kind in enumerate(kinds):
+        if kind == "branch":
+            moves = labels[v]
+            if not moves:
+                raise ValidationError(f"branch {ids[v]} has no children")
+            if not 0 <= owners[v] < n:
+                raise DimensionMismatch(
+                    f"branch {ids[v]!r} owner {owners[v]} out of range for {n} players")
+            if len(set(moves)) != len(moves):
+                raise ValidationError(f"branch {ids[v]!r} repeats a move name")
+    for v, kind in enumerate(kinds):
+        if kind == "chance":
+            if min(labels[v], default=0.0) < 0:
+                raise BadProbabilitySum(f"chance node {ids[v]!r} has a negative probability")
+            total = sum(labels[v])
+            if not abs(total - 1.0) <= PROB_TOL:
+                raise BadProbabilitySum(f"chance node {ids[v]!r} probabilities sum to {total!r}")
 
     # every branch and chance node has a child by now, so m >= 1
-    s = len(leaves[0].emission)
+    s = len(emissions[0])
     if s < 1:
-        raise DimensionMismatch(f"leaf {leaves[0].id!r} has an empty emission pdf")
-    for lf in leaves:
-        if len(lf.utilities) != n:
-            raise DimensionMismatch(f"leaf {lf.id!r} has {len(lf.utilities)} utilities, expected {n}")
-        if len(lf.emission) != s:
+        raise DimensionMismatch(f"leaf {ids[leaves[0]]!r} has an empty emission pdf")
+    for v, utility, emission in zip(leaves, utilities, emissions):
+        if len(utility) != n:
+            raise DimensionMismatch(f"leaf {ids[v]!r} has {len(utility)} utilities, expected {n}")
+        if len(emission) != s:
             raise DimensionMismatch(
-                f"leaf {lf.id!r} emits over {len(lf.emission)} symbols, expected {s}"
+                f"leaf {ids[v]!r} emits over {len(emission)} symbols, expected {s}"
             )
     # one row per leaf here; the tree keeps the transposes
-    u = np.array([lf.utilities for lf in leaves], dtype=np.float64)
+    u = np.array(utilities, dtype=np.float64)
     finite = np.isfinite(u).all(axis=1)
     if not finite.all():
-        raise ValidationError(f"leaf {leaves[finite.argmin()].id!r} has a non-finite utility")
-    phi = np.array([lf.emission for lf in leaves], dtype=np.float64)
-    check_emission_columns(phi.T, lambda j: f"leaf {leaves[j].id!r}")
+        raise ValidationError(f"leaf {ids[leaves[finite.argmin()]]!r} has a non-finite utility")
+    phi = np.array(emissions, dtype=np.float64)
+    check_emission_columns(phi.T, lambda j: f"leaf {ids[leaves[j]]!r}")
     u.setflags(write=False)
     phi.setflags(write=False)
-    return (tuple(order), tuple(map(tuple, kids)), tuple(leaf_index), positions, tuple(leaves),
-            u.T, phi.T)
+    return ids, owners, labels, tuple(map(tuple, kids)), tuple(leaf_index), positions, u.T, phi.T
 
 
 def check_emission_columns(phi: np.ndarray, name) -> None:
@@ -331,36 +347,24 @@ def check_emission_columns(phi: np.ndarray, name) -> None:
         raise BadProbabilitySum(f"{name(bad[0])} emission pdf sums to {float(total[bad[0]])!r}")
 
 
-def utility_matrix(tree: GameTree) -> np.ndarray:
-    """The (n, m) utilities, one column per leaf; read-only."""
-    return tree.u
-
-
-def emission_stack(tree: GameTree) -> np.ndarray:
-    """The (num_symbols, m) leaf emission pdfs, one column per leaf; read-only."""
-    return tree.phi
-
-
 def check_profile(tree: GameTree, profile: StrategyProfile) -> list[int]:
     """Require one valid move for every branch, and no stray ids; returns
     the chosen child position of every branch, -1 at other nodes."""
-    positions, order = tree.positions, tree.order
+    positions, owner = tree.positions, tree.owner
     for nid in profile:
-        if nid not in positions or not isinstance(order[positions[nid]], Branch):
+        if nid not in positions or owner[positions[nid]] < 0:
             raise UnknownNodeId(f"profile names {nid!r}, which is not a branch of this tree")
-    chosen = [-1] * len(order)
-    for v, node in enumerate(order):
-        if isinstance(node, Branch):
-            if node.id not in profile:
-                raise MissingBranchChoice(f"profile has no move for branch {node.id!r}")
-            move = profile[node.id]
-            for k, (name, _) in enumerate(node.children):
-                if name == move:
-                    chosen[v] = tree.kids[v][k]
-                    break
-            else:
+    chosen = [-1] * len(owner)
+    for v, (nid, moves) in enumerate(zip(tree.ids, tree.labels)):
+        if owner[v] >= 0:
+            if nid not in profile:
+                raise MissingBranchChoice(f"profile has no move for branch {nid!r}")
+            move = profile[nid]
+            try:
+                chosen[v] = tree.kids[v][moves.index(move)]
+            except ValueError:
                 raise MissingBranchChoice(
-                    f"branch {node.id!r} has no move {move!r} (moves: {node.moves()})")
+                    f"branch {nid!r} has no move {move!r} (moves: {moves})") from None
     return chosen
 
 
@@ -371,25 +375,26 @@ def backward_induction(tree: GameTree) -> dict[str, str]:
     chance node the probability-weighted sum over its positive-probability
     children, and a branch the value of the first child best for its
     owner."""
-    kids = tree.kids
-    values: list = [None] * len(tree.order)
+    owner, labels, kids, leaf_index = tree.owner, tree.labels, tree.kids, tree.leaf_index
+    rows = tree.u.T.tolist()  # one list per leaf, read once
+    values: list = [None] * len(kids)
     best_move: dict[int, str] = {}
-    for v in range(len(tree.order) - 1, -1, -1):
-        node = tree.order[v]
-        if isinstance(node, Leaf):
-            values[v] = node.utilities
-        elif isinstance(node, Branch):
-            worth = [values[c][node.owner] for c in kids[v]]
+    for v in range(len(kids) - 1, -1, -1):
+        j, o = leaf_index[v], owner[v]
+        if j >= 0:
+            values[v] = rows[j]
+        elif o >= 0:
+            worth = [values[c][o] for c in kids[v]]
             best = worth.index(max(worth))  # the leftmost of the best
-            best_move[v] = node.children[best][0]
+            best_move[v] = labels[v][best]
             values[v] = values[kids[v][best]]
         else:
             acc = np.zeros(tree.n)
-            for (p, _), c in zip(node.children, kids[v]):
+            for p, c in zip(labels[v], kids[v]):
                 if p > 0:
                     acc += p * np.asarray(values[c], dtype=np.float64)
             values[v] = acc
-    return {tree.order[v].id: best_move[v] for v in sorted(best_move)}
+    return {tree.ids[v]: move for v, move in reversed(best_move.items())}
 
 
 def honest_outcome(tree: GameTree, root_id: str, profile: StrategyProfile):
@@ -412,9 +417,4 @@ def honest_outcome(tree: GameTree, root_id: str, profile: StrategyProfile):
 def expected_utilities(tree: GameTree, profile: StrategyProfile) -> np.ndarray:
     """Expected utility vector when every branch follows the profile: the
     root's honest outcome."""
-    return honest_outcome(tree, tree.root.id, profile)[1]
-
-
-def subgame_ids(tree: GameTree) -> tuple[str, ...]:
-    """All node ids in depth-first preorder; each roots a subgame."""
-    return tuple(node.id for node in tree.order)
+    return honest_outcome(tree, tree.ids[0], profile)[1]

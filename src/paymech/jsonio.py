@@ -8,11 +8,13 @@ which preserves insertion order.
 
 Neither direction recurses, so document depth is bounded only by
 `json.loads`.  The reader makes one pass over the document tree with an
-explicit stack: it checks each node's JSON types and emits the tree's
-`_structure` list, which `GameTree.from_structure` validates and lays
-out, so every value rule and the compiled layout stay in `game_core`.
-The writer is one loop over a stack of literal text pieces and values
-still to be written.
+explicit stack: it checks each node's JSON types and emits the node as
+(id, kind, owner, labels), plus a utility row and an emission row per
+leaf, which `GameTree.from_nodes` validates and lays out into the
+tree's columns, so every value rule and the layout stay in `game_core`;
+no node object is built.  The writer is one loop over a stack of
+literal text pieces and values still to be written; `game_to_doc`
+builds a tree's node documents from its columns.
 
 Every number array and profile from outside, in a document or a flag,
 is read by `read_array` or `read_profile`.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .game_core import Branch, Chance, GameTree, Leaf, check_players
+from .game_core import GameTree, check_players
 from .info_structure import InfoStructure, PaymentScheme
 
 _quote = json.encoder.encode_basestring_ascii  # the bytes of json.dumps(s, ensure_ascii=True)
@@ -133,19 +135,19 @@ def dumps_canonical(doc) -> str:
 def game_to_doc(tree: GameTree, alphabet, profile, costs=None) -> dict:
     """The game document of `tree`; node documents are built over reversed
     preorder, so each node's children are done before it."""
-    order, kids = tree.order, tree.kids
-    docs: list = [None] * len(order)
-    for v in range(len(order) - 1, -1, -1):
-        node = order[v]
-        if isinstance(node, Leaf):
-            docs[v] = {"leaf": {"id": node.id, "utilities": list(node.utilities),
-                                "emission": list(node.emission)}}
-        elif isinstance(node, Chance):
-            docs[v] = {"chance": {"id": node.id, "children": [
-                {"p": p, "node": docs[c]} for (p, _), c in zip(node.children, kids[v])]}}
+    utilities, emissions = tree.u.T.tolist(), tree.phi.T.tolist()
+    docs: list = [None] * len(tree.ids)
+    for v in range(len(tree.ids) - 1, -1, -1):
+        nid, owner, labels, j = tree.ids[v], tree.owner[v], tree.labels[v], tree.leaf_index[v]
+        kids = [docs[c] for c in tree.kids[v]]
+        if j >= 0:
+            docs[v] = {"leaf": {"id": nid, "utilities": utilities[j], "emission": emissions[j]}}
+        elif owner < 0:
+            children = [{"p": p, "node": kid} for p, kid in zip(labels, kids)]
+            docs[v] = {"chance": {"id": nid, "children": children}}
         else:
-            children = OrderedMap((move, docs[c]) for (move, _), c in zip(node.children, kids[v]))
-            docs[v] = {"branch": {"id": node.id, "owner": node.owner, "children": children}}
+            children = OrderedMap(zip(labels, kids))
+            docs[v] = {"branch": {"id": nid, "owner": owner, "children": children}}
     doc = {
         "players": list(tree.players),
         "alphabet": list(alphabet),
@@ -222,11 +224,11 @@ _NODE_SHAPE = ("each tree node must be an object with exactly one of "
 _KINDS = frozenset(("leaf", "branch", "chance"))
 
 
-def _read_tree(root) -> list:
-    """The `_structure` list of a document's tree, read in one preorder
+def _read_tree(root) -> tuple:
+    """The `_structure` triple of a document's tree, read in one preorder
     pass over an explicit stack; each node's JSON types are checked where
-    it is read, its values by `GameTree.from_structure`."""
-    out: list = []
+    it is read, its values by `GameTree.from_nodes`."""
+    nodes, utilities, emissions = [], [], []
     stack = [root]
     while stack:
         doc = stack.pop()
@@ -238,25 +240,24 @@ def _read_tree(root) -> list:
         node_id = _require(body, "id", str, kind)
         where = f"{kind} {node_id}"
         if kind == "leaf":
-            utilities = _parse_numbers(_require(body, "utilities", list, where), "utilities")
-            emission = _parse_numbers(_require(body, "emission", list, where), "emission")
-            out.append(Leaf(node_id, utilities, emission))
-            continue
-        if kind == "branch":
+            utilities.append(_parse_numbers(_require(body, "utilities", list, where), "utilities"))
+            emissions.append(_parse_numbers(_require(body, "emission", list, where), "emission"))
+            owner, names, subs = -1, (), ()
+        elif kind == "branch":
             owner = _require(body, "owner", int, where)
             if isinstance(owner, bool):
                 raise ValidationError(f"{where}.owner must be an integer")
             children = _require(body, "children", dict, where)
-            out.append((Branch, node_id, owner, tuple(map(str, children))))
-            subs = children.values()
+            names, subs = tuple(map(str, children)), children.values()
         else:
-            labels, subs = [], []
+            probs, subs = [], []
             for entry in _require(body, "children", list, where):
-                labels.append(_require(entry, "p", float, where + " child"))
+                probs.append(_require(entry, "p", float, where + " child"))
                 subs.append(_require(entry, "node", dict, where + " child"))
-            out.append((Chance, node_id, -1, tuple(labels)))
+            owner, names = -1, tuple(probs)
+        nodes.append((node_id, kind, owner, names))
         stack.extend(reversed(subs))
-    return out
+    return nodes, utilities, emissions
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +276,8 @@ def parse_game_doc(doc) -> GameDocument:
     if not alphabet or not all(isinstance(a, str) for a in alphabet):
         raise ValidationError("alphabet must be a nonempty list of symbols")
     # arguments run left to right: the players are checked before the tree is read
-    tree = GameTree.from_structure(check_players(players),
-                                   _read_tree(_require(doc, "tree", dict, "document")))
+    tree = GameTree.from_nodes(check_players(players),
+                               _read_tree(_require(doc, "tree", dict, "document")))
     info = InfoStructure.from_tree(tree, tuple(alphabet))
     profile = read_profile(_require(doc, "intended", dict, "document"), "intended")
     shape = (tree.n, len(alphabet))

@@ -34,7 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch
-from .game_core import GameTree, StrategyProfile, check_profile, utility_matrix
+from .game_core import GameTree, StrategyProfile, check_profile
 from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
 
 SLACK_TOL = 1e-9
@@ -102,7 +102,7 @@ class ConstraintSystem:
         return tuple(map(self._row, range(self.alpha)))
 
     def _row(self, r: int) -> ConstraintRow:
-        return ConstraintRow(self.tree.order[self.subgame[r]].id,
+        return ConstraintRow(self.tree.ids[self.subgame[r]],
                              self.coalitions[self.coalition[r]],
                              int(self.player[r]), int(self.leaf[r]))
 
@@ -200,7 +200,7 @@ def build_constraints(
     if params.t > n:
         raise BadParameters(f"coalition bound t={params.t} exceeds {n} players")
     chosen = check_profile(tree, profile)
-    size = len(tree.order)
+    size = len(tree.ids)
     node = np.arange(size)
     choice = np.array(chosen, dtype=np.intp)  # -1 off branches
     leaf_index = np.array(tree.leaf_index, dtype=np.intp)
@@ -232,7 +232,7 @@ def build_constraints(
         else:
             key = (tuple(j for j, _ in honest), tuple(p for _, p in honest))
             sid[v] = ids.setdefault(key, m + len(ids))
-        zero[[c for (q, _), c in zip(tree.order[v].children, tree.kids[v]) if not q > 0]] = True
+        zero[[c for q, c in zip(tree.labels[v], tree.kids[v]) if not q > 0]] = True
     sid = sid[_settle(np.where(choice >= 0, choice, node))]
     # the support of outcome k is entries sup_start[k] .. + sup_len[k]
     sup_len = np.array([1] * m + [len(leaves) for leaves, _ in ids], dtype=np.intp)
@@ -248,8 +248,8 @@ def build_constraints(
 
     # Row o < n marks the nodes player o's unchosen edges enter, row n those
     # zero-probability edges enter; top[o, j]: the deepest one over leaf j.
-    owner = np.full(size, n)
-    owner[choice >= 0] = [tree.order[v].owner for v in np.flatnonzero(choice >= 0).tolist()]
+    owner = np.array(tree.owner, dtype=np.intp)
+    owner[owner < 0] = n
     blocked = np.zeros((n + 1, size), dtype=bool)
     blocked[owner[parent], node] = zero | ((choice[parent] >= 0) & (choice[parent] != node))
     top = np.array([_settle(np.where(row, node, parent)) for row in blocked])[:, is_leaf]
@@ -336,4 +336,4 @@ def verify(
     if info.m != tree.m:
         raise DimensionMismatch(f"{info.m} emission columns for {tree.m} leaves")
     system = build_constraints(tree, profile, params)
-    return system.check(implemented_utilities(utility_matrix(tree), scheme, info))
+    return system.check(implemented_utilities(tree.u, scheme, info))

@@ -25,7 +25,7 @@ from .errors import (
     NumericalBreakdown,
     Unbounded,
 )
-from .game_core import GameTree, StrategyProfile, honest_outcome, utility_matrix
+from .game_core import GameTree, StrategyProfile, honest_outcome
 from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
 from .security import SecurityParams, build_constraints
 from .simplex import LinearProgram, solve
@@ -97,7 +97,7 @@ def _synthesize(tree, info, profile, system, cost_mat=None, opts=SynthesisOption
         raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
     n, s = tree.n, info.s
     ns = n * s
-    u = utility_matrix(tree)
+    u = tree.u
 
     colsum = np.tile(np.eye(s), (1, n))
     g_blocks, h_blocks = [-system.lift(info.phi)], [system.rhs - system.dot(u)]
@@ -110,7 +110,7 @@ def _synthesize(tree, info, profile, system, cost_mat=None, opts=SynthesisOption
     if cost_mat is not None:
         eq_blocks.append(np.eye(ns)[np.flatnonzero(np.isposinf(cost_mat))])
     if opts.honest_invariance:
-        weights, _ = honest_outcome(tree, tree.root.id, profile)
+        weights, _ = honest_outcome(tree, tree.ids[0], profile)
         if opts.honest_form == HONEST_PER_LEAF:
             per_player = info.phi[:, weights > 0.0].T  # one row per supported leaf
         else:

@@ -13,16 +13,12 @@ from itertools import combinations, product
 import numpy as np
 
 from paymech import (
-    Branch,
-    Chance,
     GameTree,
     InfoStructure,
-    Leaf,
     branch,
     chance,
     honest_outcome,
     leaf,
-    subgame_ids,
 )
 
 FEAS_TOL = 1e-7
@@ -50,6 +46,11 @@ def random_emission(rng, s):
 def random_tree(rng, n_players=2, num_symbols=3, max_nodes=12, allow_chance=True):
     """Random game: root is always a branch, every leaf emits over
     num_symbols, total node count stays within max_nodes."""
+    return GameTree(*random_root(rng, n_players, num_symbols, max_nodes, allow_chance))
+
+
+def random_root(rng, n_players=2, num_symbols=3, max_nodes=12, allow_chance=True):
+    """The players and the nested root of `random_tree`, from the same draws."""
     counter = [0]
     budget = [int(rng.integers(4, max_nodes + 1))]
 
@@ -79,7 +80,7 @@ def random_tree(rng, n_players=2, num_symbols=3, max_nodes=12, allow_chance=True
     owner = int(rng.integers(n_players))
     root = branch(root_id, owner, [(f"m{k}", make_node(1)) for k in range(width)])
     players = tuple(f"P{i + 1}" for i in range(n_players))
-    return GameTree(players, root)
+    return players, root
 
 
 def chain_tree(depth):
@@ -96,11 +97,66 @@ def chain_tree(depth):
 
 def random_profile(rng, tree):
     out = {}
-    for node in tree.order:
-        if isinstance(node, Branch):
-            moves = node.moves()
-            out[node.id] = moves[int(rng.integers(len(moves)))]
+    for nid, owner, moves in zip(tree.ids, tree.owner, tree.labels):
+        if owner >= 0:
+            out[nid] = moves[int(rng.integers(len(moves)))]
     return out
+
+
+def leaf_ids(tree):
+    """The ids of the leaves, in leaf order."""
+    return [nid for nid, j in zip(tree.ids, tree.leaf_index) if j >= 0]
+
+
+def has_chance(tree):
+    return any(owner < 0 and j < 0 for owner, j in zip(tree.owner, tree.leaf_index))
+
+
+def preorder_leaves(root):
+    """The `Leaf` objects of a nested tree, in leaf order."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if hasattr(node, "children"):
+            stack.extend(child for _, child in reversed(node.children))
+        else:
+            out.append(node)
+    return out
+
+
+def nested(tree, phi=None, value=float):
+    """The nested root of `tree`, built over reversed preorder from its
+    columns, with the emission matrix `phi` (s, m) in place of its own and
+    `value` applied to every probability, utility and emission."""
+    phi = tree.phi if phi is None else phi
+    nodes = [None] * len(tree.ids)
+    for v in reversed(range(len(tree.ids))):
+        nid, j, owner = tree.ids[v], tree.leaf_index[v], tree.owner[v]
+        kids = [nodes[c] for c in tree.kids[v]]
+        if j >= 0:
+            nodes[v] = leaf(nid, map(value, tree.u[:, j]), map(value, phi[:, j]))
+        elif owner >= 0:
+            nodes[v] = branch(nid, owner, zip(tree.labels[v], kids))
+        else:
+            nodes[v] = chance(nid, zip(map(value, tree.labels[v]), kids))
+    return nodes[0]
+
+
+# every column of a GameTree but the matrices
+COLUMNS = ("players", "ids", "owner", "labels", "kids", "leaf_index", "positions")
+
+
+def assert_same_columns(got, want):
+    """Every column of `got` equals `want`'s; positions in the same order,
+    and u and phi read-only float64 arrays of the same shape and bytes."""
+    for name in COLUMNS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert list(got.positions.items()) == list(want.positions.items())
+    for name in ("u", "phi"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes() and not a.flags.writeable, name
+    assert got == want and hash(got) == hash(want)
 
 
 def random_instance(rng, n_players=2, num_symbols=3, max_nodes=12, allow_chance=True):
@@ -118,25 +174,10 @@ def solvable_instance(rng, n_players=2, max_nodes=10, allow_chance=True):
                        allow_chance=allow_chance)
     m = tree.m
     phi = np.eye(m)
-    rebuilt = _replace_emissions(tree.root, phi)
-    tree2 = GameTree(tree.players, rebuilt)
+    tree2 = GameTree(tree.players, nested(tree, phi))
     alphabet = tuple(f"s{k}" for k in range(m))
     info = InfoStructure.from_tree(tree2, alphabet)
     return tree2, info, random_profile(rng, tree2)
-
-
-def _replace_emissions(node, phi, next_index=None):
-    if next_index is None:
-        next_index = [0]
-    if isinstance(node, Leaf):
-        j = next_index[0]
-        next_index[0] += 1
-        return leaf(node.id, node.utilities, phi[:, j])
-    if isinstance(node, Chance):
-        kids = [(p, _replace_emissions(c, phi, next_index)) for p, c in node.children]
-        return chance(node.id, kids)
-    kids = [(mv, _replace_emissions(c, phi, next_index)) for mv, c in node.children]
-    return branch(node.id, node.owner, kids)
 
 
 # --------------------------------------------- constraint-row oracle
@@ -146,8 +187,8 @@ def _subtree_branches(tree, root_id):
     stack = [tree.position(root_id)]
     while stack:
         v = stack.pop()
-        if isinstance(tree.order[v], Branch):
-            out.append(tree.order[v])
+        if tree.owner[v] >= 0:
+            out.append(v)
         stack.extend(tree.kids[v])
     return out
 
@@ -157,13 +198,13 @@ def _reached(tree, root_id, moves, profile):
     stack = [tree.position(root_id)]
     while stack:
         v = stack.pop()
-        node = tree.order[v]
-        if isinstance(node, Leaf):
+        nid, labels = tree.ids[v], tree.labels[v]
+        if tree.leaf_index[v] >= 0:
             found.add(tree.leaf_index[v])
-        elif isinstance(node, Branch):
-            stack.append(tree.kids[v][node.moves().index(moves.get(node.id, profile[node.id]))])
+        elif tree.owner[v] >= 0:
+            stack.append(tree.kids[v][labels.index(moves.get(nid, profile[nid]))])
         else:
-            stack.extend(c for (p, _), c in zip(node.children, tree.kids[v]) if p > 0)
+            stack.extend(c for p, c in zip(labels, tree.kids[v]) if p > 0)
     return found
 
 
@@ -172,16 +213,17 @@ def oracle_rows(tree, profile, delta, t):
     force over every pure strategy of every coalition in every subgame."""
     n, m = tree.n, tree.m
     rows = set()
-    for root_id in subgame_ids(tree):
+    for root_id in tree.ids:
         w, _ = honest_outcome(tree, root_id, profile)
         support = [j for j in range(m) if w[j] > 0]
         support_set = set(support)
         for size in range(1, t + 1):
             for coalition in combinations(range(n), size):
-                owned = [b for b in _subtree_branches(tree, root_id) if b.owner in coalition]
+                owned = [b for b in _subtree_branches(tree, root_id)
+                         if tree.owner[b] in coalition]
                 induced = set()
-                for choice in product(*(b.moves() for b in owned)):
-                    moves = {b.id: mv for b, mv in zip(owned, choice)}
+                for choice in product(*(tree.labels[b] for b in owned)):
+                    moves = {tree.ids[b]: mv for b, mv in zip(owned, choice)}
                     induced |= _reached(tree, root_id, moves, profile)
                 for i in coalition:
                     base = i * m

@@ -33,7 +33,6 @@ from paymech import (
     synthesize,
     SynthesisOptions,
     trial_seed,
-    utility_matrix,
     verify,
 )
 from paymech.cli import dispatch
@@ -173,7 +172,7 @@ def test_criterion_05_zero_inflation_column_sums():
         except Infeasible:
             continue
         successes += 1
-        u = utility_matrix(tree)
+        u = tree.u
         e = implemented_utilities(u, scheme, info)
         worst = max(worst, float(np.max(np.abs((u - e).sum(axis=0)))))
     conclude(5, successes >= 15 and worst < 1e-7,

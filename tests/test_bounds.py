@@ -17,7 +17,6 @@ from paymech import (
     leaf,
     norms,
     spectral_norm,
-    utility_matrix,
 )
 
 from .helpers import random_instance
@@ -51,7 +50,7 @@ def test_norm_report_values():
 
 def test_constraint_utility_product_matches_direct_loop(commerce):
     system = build_constraints(commerce.tree, commerce.profile, SecurityParams(delta=1.0))
-    u = utility_matrix(commerce.tree)
+    u = commerce.tree.u
     got = constraint_utility_product(system, u)
     want = np.array([
         [row.reshape(commerce.tree.n, commerce.tree.m)[i] @ u[i] for i in range(commerce.tree.n)]

@@ -7,7 +7,6 @@ import pytest
 
 from paymech import (
     BadParameters,
-    Chance,
     CommerceParams,
     NumericalBreakdown,
     PvcParams,
@@ -20,15 +19,16 @@ from paymech import (
     implemented_utilities,
     left_inverse,
     pvc_alphabet,
-    utility_matrix,
     verify,
 )
+
+from .helpers import has_chance
 
 
 class TestCommerce:
     def test_golden_matrices(self, commerce):
         np.testing.assert_allclose(
-            utility_matrix(commerce.tree),
+            commerce.tree.u,
             [[-100, 0, 150, 50], [100, 0, -50, 50]],
         )
         np.testing.assert_allclose(
@@ -39,7 +39,7 @@ class TestCommerce:
         np.testing.assert_allclose(commerce.scheme.max_deposits, [225, 56.25], atol=1e-9)
 
     def test_scheme_hits_target(self, commerce):
-        e = implemented_utilities(utility_matrix(commerce.tree), commerce.scheme, commerce.info)
+        e = implemented_utilities(commerce.tree.u, commerce.scheme, commerce.info)
         np.testing.assert_allclose(e, commerce.target_e, atol=1e-9)
 
     def test_margin_is_sharp(self, commerce):
@@ -121,7 +121,7 @@ class TestPvc:
         np.testing.assert_allclose(m @ pvc.info.phi, np.eye(5), atol=1e-8)
 
     def test_scheme_hits_target(self, pvc):
-        e = implemented_utilities(utility_matrix(pvc.tree), pvc.scheme, pvc.info)
+        e = implemented_utilities(pvc.tree.u, pvc.scheme, pvc.info)
         np.testing.assert_allclose(e, pvc.target_e, atol=1e-9)
 
     def test_margin_is_sharp(self, pvc):
@@ -159,7 +159,7 @@ class TestPvc:
         inst = build_pvc(pvc.params, collapse=False)
         assert not inst.collapsed
         assert inst.tree.m == 3 * pvc.params.n + 1
-        assert any(isinstance(node, Chance) for node in inst.tree.order)
+        assert has_chance(inst.tree)
         # the scheme is always derived against the collapsed tree
         np.testing.assert_allclose(inst.scheme.matrix, pvc.scheme.matrix, atol=1e-12)
         # expected play is identical in both forms

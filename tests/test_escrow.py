@@ -5,8 +5,6 @@ import pytest
 
 from paymech import (
     BadParameters,
-    Branch,
-    Chance,
     DimensionMismatch,
     Episode,
     InfoStructure,
@@ -19,7 +17,7 @@ from paymech import (
     trial_seed,
 )
 
-from .helpers import random_instance
+from .helpers import has_chance, leaf_ids, random_instance
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +34,8 @@ def test_episode_accounting(commerce_inst):
     np.testing.assert_array_equal(
         ep.net_losses, inst.scheme.matrix[:, ep.symbol_index]
     )
-    leaf_utils = inst.tree.leaves[ep.leaf_index].utilities
-    np.testing.assert_allclose(ep.realized_utilities, np.asarray(leaf_utils) - ep.net_losses)
+    leaf_utils = inst.tree.u[:, ep.leaf_index]
+    np.testing.assert_allclose(ep.realized_utilities, leaf_utils - ep.net_losses)
     assert ep.surplus == pytest.approx(inst.scheme.matrix[:, ep.symbol_index].sum())
     assert ep.symbol == inst.info.alphabet[ep.symbol_index]
 
@@ -69,9 +67,8 @@ def test_symbol_frequencies_follow_emission(commerce_inst):
     # the seller-keeps-item deviation lands on a noisy leaf
     inst = commerce_inst
     res = monte_carlo(inst.tree, inst.info, inst.scheme, DEVIATION, trials=4000, seed=7)
-    cheat_leaf = inst.tree.leaves[2]
-    assert cheat_leaf.id == "item_not_paid"
-    np.testing.assert_allclose(res.symbol_frequencies, cheat_leaf.emission, atol=0.03)
+    assert leaf_ids(inst.tree)[2] == "item_not_paid"
+    np.testing.assert_allclose(res.symbol_frequencies, inst.tree.phi[:, 2], atol=0.03)
 
 
 def test_monte_carlo_matches_implemented_utilities(commerce_inst):
@@ -150,7 +147,7 @@ def _chance_instances(count):
     rng = np.random.default_rng(31)
     while count:
         tree, info, profile = random_instance(rng, max_nodes=16)
-        if any(isinstance(node, Chance) for node in tree.order):
+        if has_chance(tree):
             count -= 1
             yield tree, info, PaymentScheme(rng.normal(size=(tree.n, info.s)).round(2)), profile
 
@@ -175,13 +172,12 @@ def _replay(tree, profile, trials, seed):
     for _ in range(trials):
         v = 0
         while tree.kids[v]:
-            node = tree.order[v]
-            if isinstance(node, Branch):
+            if tree.owner[v] >= 0:
                 v = chosen[v]
             else:
-                v = tree.kids[v][draw([p for p, _ in node.children])]
+                v = tree.kids[v][draw(tree.labels[v])]
         j = tree.leaf_index[v]
-        plays.append((j, draw(tree.leaves[j].emission)))
+        plays.append((j, draw(tree.phi[:, j].tolist())))
     return plays
 
 
@@ -196,7 +192,7 @@ def test_monte_carlo_aggregates_run_episode(commerce_inst, case):
     trials, seed = 300, 17 + case
     res = monte_carlo(tree, info, scheme, profile, trials, seed)
     plays = _replay(tree, profile, trials, seed)
-    utilities = np.array([np.asarray(tree.leaves[j].utilities) - scheme.matrix[:, k]
+    utilities = np.array([tree.u[:, j] - scheme.matrix[:, k]
                           for j, k in plays])
     losses = np.array([scheme.matrix[:, k] for _, k in plays])
     counts = np.array([sum(k == s for _, k in plays) for s in range(info.s)])

@@ -13,8 +13,6 @@ import pytest
 
 from paymech import (
     BadProbabilitySum,
-    Branch,
-    Chance,
     ConstraintRow,
     InfoStructure,
     PaymentScheme,
@@ -33,17 +31,15 @@ from paymech import (
     branch,
     chance,
     check_profile,
-    emission_stack,
     expected_utilities,
     honest_outcome,
     leaf,
-    subgame_ids,
-    utility_matrix,
 )
 
 import paymech
 
-from .helpers import random_profile, random_tree
+from .helpers import (assert_same_columns, has_chance, leaf_ids, nested, preorder_leaves,
+                      random_profile, random_root, random_tree)
 
 
 def two_level_tree():
@@ -64,8 +60,8 @@ def two_level_tree():
 
 def test_leaf_indexing_is_depth_first_left_to_right():
     tree = two_level_tree()
-    assert [lf.id for lf in tree.leaves] == ["L0", "L1", "L2", "L3"]
-    assert [tree.leaf_index[tree.position(lf.id)] for lf in tree.leaves] == [0, 1, 2, 3]
+    assert leaf_ids(tree) == ["L0", "L1", "L2", "L3"]
+    assert [tree.leaf_index[tree.position(nid)] for nid in leaf_ids(tree)] == [0, 1, 2, 3]
     assert tree.n == 2 and tree.m == 4 and tree.num_symbols == 2
 
 
@@ -74,13 +70,14 @@ def test_leaf_can_sit_at_different_numbers_in_different_trees():
     first = GameTree(("P",), branch("r", 0, [("x", a), ("y", b)]))
     second = GameTree(("P",), branch("r", 0, [("z", c), ("x", a), ("y", b)]))
     assert [t.leaf_index[t.position("a")] for t in (first, second)] == [0, 1]
-    assert second.leaves == (c, a, b)
+    assert leaf_ids(second) == ["c", "a", "b"]
 
 
 def test_placed_leaf_equals_a_fresh_one():
     tree = two_level_tree()
     fresh = leaf("L2", (0.0, 4.0), (1, 0))
-    assert tree.leaves[2] == fresh and hash(tree.leaves[2]) == hash(fresh)
+    placed = leaf(leaf_ids(tree)[2], tree.u[:, 2], tree.phi[:, 2])
+    assert placed == fresh and hash(placed) == hash(fresh)
 
 
 def test_deep_chain_pickles_and_deepcopies():
@@ -91,18 +88,16 @@ def test_deep_chain_pickles_and_deepcopies():
                                        ("go", node)])
     tree = GameTree(("A", "B"), node)
     for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
-        assert twin == tree and twin.players == tree.players
-        assert twin.kids == tree.kids and twin.leaf_index == tree.leaf_index
-        assert twin.leaves == tree.leaves
+        assert_same_columns(twin, tree)
 
 
 def test_utility_and_emission_matrices_follow_leaf_order():
     tree = two_level_tree()
     np.testing.assert_array_equal(
-        utility_matrix(tree), [[1, 3, 0, 8], [2, 0, 4, -4]]
+        tree.u, [[1, 3, 0, 8], [2, 0, 4, -4]]
     )
     np.testing.assert_array_equal(
-        emission_stack(tree), [[1, 0, 1, 0.5], [0, 1, 0, 0.5]]
+        tree.phi, [[1, 0, 1, 0.5], [0, 1, 0, 0.5]]
     )
 
 
@@ -110,13 +105,13 @@ def test_stored_matrices_are_the_leaf_tuples_and_read_only():
     rng = np.random.default_rng(17)
     with_chance = 0
     for _ in range(200):
-        tree = random_tree(rng, n_players=int(rng.integers(1, 4)),
-                           num_symbols=int(rng.integers(1, 12)), max_nodes=40)
-        with_chance += any(isinstance(node, Chance) for node in tree.order)
-        u = np.array([lf.utilities for lf in tree.leaves]).T
-        phi = np.array([lf.emission for lf in tree.leaves]).T
-        for got, want in ((tree.u, u), (utility_matrix(tree), u),
-                          (tree.phi, phi), (emission_stack(tree), phi)):
+        players, root = random_root(rng, n_players=int(rng.integers(1, 4)),
+                                    num_symbols=int(rng.integers(1, 12)), max_nodes=40)
+        tree = GameTree(players, root)
+        with_chance += has_chance(tree)
+        u = np.array([lf.utilities for lf in preorder_leaves(root)]).T
+        phi = np.array([lf.emission for lf in preorder_leaves(root)]).T
+        for got, want in ((tree.u, u), (tree.phi, phi)):
             assert got.dtype == np.float64 and got.shape == want.shape
             assert got.tobytes() == want.tobytes() and not got.flags.writeable
             with pytest.raises(ValueError):
@@ -241,7 +236,7 @@ def test_honest_outcome_weights_and_value():
 
 def test_subgame_ids_preorder():
     tree = two_level_tree()
-    assert subgame_ids(tree) == ("r", "rl", "L0", "L1", "rc", "L2", "L3")
+    assert tree.ids == ("r", "rl", "L0", "L1", "rc", "L2", "L3")
 
 
 @pytest.mark.parametrize("allow_chance", [False, True], ids=["without_chance", "with_chance"])
@@ -254,20 +249,19 @@ def test_backward_induction_immune_to_single_deviations(allow_chance):
         profile = backward_induction(tree)
         base = {
             root: honest_outcome(tree, root, profile)[1]
-            for root in subgame_ids(tree)
+            for root in tree.ids
         }
-        for node in tree.order:
-            if not isinstance(node, Branch):
+        for nid, owner, moves in zip(tree.ids, tree.owner, tree.labels):
+            if owner < 0:
                 continue
-            nid = node.id
-            for move in node.moves():
+            for move in moves:
                 if move == profile[nid]:
                     continue
                 tweaked = dict(profile)
                 tweaked[nid] = move
                 _, u = honest_outcome(tree, nid, tweaked)
-                best = base[nid][node.owner]
-                assert u[node.owner] <= best + 1e-12 * (1 + abs(best))
+                best = base[nid][owner]
+                assert u[owner] <= best + 1e-12 * (1 + abs(best))
 
 
 def test_random_profiles_reach_exactly_one_leaf_without_chance():
@@ -294,17 +288,18 @@ def test_deep_chain_analyses_match_plain_loops():
         for d in reversed(range(depth)):
             node = branch(f"b{d}", owner[d], [("stop", leaf(f"s{d}", util[d], (1.0, 0.0))),
                                                ("go", node)])
-        return GameTree(("A", "B"), node)
+        return node
 
-    tree = chain(util[depth])
+    root = chain(util[depth])
+    tree = GameTree(("A", "B"), root)
     info = InfoStructure.from_tree(tree, ("x", "y"))
     zero = PaymentScheme(np.zeros((2, 2)))
 
     twin = chain(util[depth])
-    assert tree == twin and hash(tree) == hash(twin)
-    assert tree != chain((0.0, 1.0))
-    assert tree.root == twin.root and hash(tree.root) == hash(twin.root)
-    assert repr(tree) and repr(tree.root)
+    assert tree == GameTree(("A", "B"), twin) and hash(tree) == hash(GameTree(("A", "B"), twin))
+    assert tree != GameTree(("A", "B"), chain((0.0, 1.0)))
+    assert root == twin and hash(root) == hash(twin)
+    assert repr(tree) and repr(root)
 
     # plain loops over the chain
     spe, value = {}, util[depth]
@@ -331,7 +326,7 @@ def test_deep_chain_analyses_match_plain_loops():
 
     assert backward_induction(tree) == spe
     np.testing.assert_array_equal(expected_utilities(tree, spe), value)
-    assert subgame_ids(tree) == tuple(
+    assert tree.ids == tuple(
         [nid for d in range(depth) for nid in (f"b{d}", f"s{d}")] + ["end"]
     )
     go_all = {f"b{d}": "go" for d in range(depth)}
@@ -394,3 +389,50 @@ def test_tree_modules_never_recurse():
         assert functions, module.__name__
         recursive += [f"{module.__name__}.{f.name}" for f in functions if calls_itself(f)]
     assert recursive == ["paymech.simplex.solve"]
+
+
+def test_only_game_core_names_node_classes():
+    # the nested node format is known to one module: every other one reads
+    # the tree's columns, and the tree keeps no node object
+    node_classes = {"Leaf", "Branch", "Chance"}
+    naming = []
+    for info in pkgutil.iter_modules(paymech.__path__):
+        module = ast.parse(inspect.getsource(importlib.import_module(f"paymech.{info.name}")))
+        names = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        if names & node_classes:
+            naming.append(info.name)
+    assert naming == ["game_core"]
+    tree = two_level_tree()
+    assert not any(hasattr(tree, name) for name in ("order", "leaves", "root"))
+
+
+def test_equality_and_hash_follow_the_columns():
+    # a zero equals its negative, as it does in the leaf tuples; one move
+    # name, owner, probability, utility or emission more makes trees differ
+    def game(move="x", owner=1, p=(0.25, 0.75), u0=(1.0, 0.0), e0=(1.0, 0.0)):
+        return GameTree(("A", "B"), branch("r", 0, [
+            ("l", branch("rl", owner, [
+                (move, leaf("L0", u0, e0)),
+                ("y", leaf("L1", (3.0, 0.0), (0.0, 1.0))),
+            ])),
+            ("r", chance("rc", [(p[0], leaf("L2", (0.0, 4.0), (1.0, 0.0))),
+                                (p[1], leaf("L3", (8.0, -4.0), (0.5, 0.5)))])),
+        ]))
+
+    base = game()
+    for same in (game(u0=(1.0, -0.0)), game(e0=(1.0, -0.0)), game(u0=(1.0, -0.0), e0=(1.0, -0.0)),
+                 pickle.loads(pickle.dumps(game(u0=(1.0, -0.0)))), copy.deepcopy(base)):
+        assert same == base and hash(same) == hash(base)
+    assert game(p=(0.0, 1.0)) == game(p=(-0.0, 1.0))
+    assert hash(game(p=(0.0, 1.0))) == hash(game(p=(-0.0, 1.0)))
+    for other in (game(move="z"), game(owner=0), game(p=(0.5, 0.5)), game(u0=(1.0, 1.0)),
+                  game(e0=(0.5, 0.5))):
+        assert other != base and not other == base
+    assert base != "tree" and GameTree(("A", "C"), nested(base)) != base

@@ -7,6 +7,7 @@ from paymech import (
     BadParameters,
     BadProbabilitySum,
     DimensionMismatch,
+    GameTree,
     InfoStructure,
     NotLeftInvertible,
     PaymentScheme,
@@ -16,11 +17,10 @@ from paymech import (
     left_inverse,
     scheme_diagnostics,
     scheme_for_target,
-    utility_matrix,
     zero_inflation_precondition,
 )
 
-from .helpers import random_tree
+from .helpers import preorder_leaves, random_root
 
 
 def test_info_structure_validation():
@@ -46,10 +46,11 @@ def test_info_structure_validation():
 
 def test_from_tree_stacks_leaf_emissions():
     rng = np.random.default_rng(3)
-    tree = random_tree(rng, num_symbols=4)
+    players, root = random_root(rng, num_symbols=4)
+    tree = GameTree(players, root)
     info = InfoStructure.from_tree(tree, ("w", "x", "y", "z"))
     assert info.phi.shape == (4, tree.m)
-    for j, lf in enumerate(tree.leaves):
+    for j, lf in enumerate(preorder_leaves(root)):
         np.testing.assert_array_equal(info.phi[:, j], lf.emission)
     with pytest.raises(DimensionMismatch):
         InfoStructure.from_tree(tree, ("w", "x"))
@@ -140,6 +141,6 @@ def test_zero_inflation_precondition():
 
 
 def test_commerce_scheme_reproduces_target(commerce):
-    u = utility_matrix(commerce.tree)
+    u = commerce.tree.u
     e = implemented_utilities(u, commerce.scheme, commerce.info)
     np.testing.assert_allclose(e, commerce.target_e, atol=1e-9)

@@ -29,10 +29,10 @@ from paymech import (
     parse_game_doc,
     parse_scheme_doc,
     scheme_to_doc,
-    utility_matrix,
 )
 
-from .helpers import chain_tree, random_instance
+from .helpers import (assert_same_columns, chain_tree, has_chance, leaf_ids, nested,
+                      random_instance, random_tree)
 
 # dumps_canonical's bytes for TestWriter.test_golden_bytes, copied from the
 # recursive writer's output before it was replaced
@@ -177,7 +177,7 @@ class TestGameDocs:
         assert doc.tree.players == commerce.tree.players
         assert doc.profile == commerce.profile
         assert doc.costs is None
-        np.testing.assert_array_equal(utility_matrix(doc.tree), utility_matrix(commerce.tree))
+        np.testing.assert_array_equal(doc.tree.u, commerce.tree.u)
         np.testing.assert_array_equal(doc.info.phi, commerce.info.phi)
         # serialization is a fixed point: reparse and re-emit byte-identically
         again = dumps_canonical(game_to_doc(doc.tree, doc.info.alphabet, doc.profile))
@@ -189,7 +189,7 @@ class TestGameDocs:
         text = dumps_canonical(game_to_doc(*_two_leaf_game()))
         assert text.index('"zz"') < text.index('"aa"')
         doc = parse_game_doc(json.loads(text))
-        assert doc.tree.leaves[0].id == "first"
+        assert leaf_ids(doc.tree)[0] == "first"
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(17)
@@ -199,9 +199,9 @@ class TestGameDocs:
             doc = parse_game_doc(json.loads(text))
             # the writer keeps 12 significant digits, so equality is up to
             # that quantization; one parse/emit cycle is then a fixed point
-            np.testing.assert_allclose(utility_matrix(doc.tree), utility_matrix(tree), rtol=1e-11)
+            np.testing.assert_allclose(doc.tree.u, tree.u, rtol=1e-11)
             np.testing.assert_allclose(doc.info.phi, info.phi, rtol=1e-11, atol=1e-12)
-            assert [lf.id for lf in doc.tree.leaves] == [lf.id for lf in tree.leaves]
+            assert leaf_ids(doc.tree) == leaf_ids(tree)
             assert dumps_canonical(game_to_doc(doc.tree, doc.info.alphabet, doc.profile)) == text
 
     def test_costs_round_trip(self):
@@ -309,13 +309,25 @@ class TestGameDocs:
         cases += [(built, twin) for built, _ in cases
                   for twin in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built))]
         for built, parsed in cases:
-            assert parsed == built
-            assert [node.id for node in parsed.order] == [node.id for node in built.order]
-            assert parsed.order == built.order
-            assert parsed.kids == built.kids
-            assert parsed.leaf_index == built.leaf_index
-            assert parsed.positions == built.positions
-            assert parsed.leaves == built.leaves
+            assert_same_columns(parsed, built)
+        # random trees built in code, their numbers first cut to the writer's
+        # 12 digits so that the document carries them exactly; each read
+        # back, unpickled and copied, column by column
+        rng = np.random.default_rng(7)
+        with_chance = 0
+        for _ in range(3000):
+            tree = random_tree(rng, n_players=int(rng.integers(1, 4)),
+                               num_symbols=int(rng.integers(1, 12)), max_nodes=40)
+            built = GameTree(tree.players, nested(tree, value=lambda x: float(format(x, ".12g"))))
+            assert (built.ids, built.owner, built.kids) == (tree.ids, tree.owner, tree.kids)
+            np.testing.assert_allclose(built.phi, tree.phi, rtol=1e-11)
+            alphabet = [f"s{k}" for k in range(built.num_symbols)]
+            text = dumps_canonical(game_to_doc(built, alphabet, {}))
+            for twin in (parse_game_doc(json.loads(text)).tree, pickle.loads(pickle.dumps(built)),
+                         copy.deepcopy(built)):
+                assert_same_columns(twin, built)
+            with_chance += has_chance(built)
+        assert with_chance > 1000
 
     def test_non_finite_numbers_rejected(self):
         # json.loads reads NaN, Infinity and integers beyond the float
@@ -354,8 +366,7 @@ class TestGameDocs:
         tree = chain_tree(300)
         text = dumps_canonical(game_to_doc(tree, ("x", "y"), {}))
         doc = parse_game_doc(cli._read_doc("-", io.StringIO(text)))
-        assert doc.tree == tree
-        assert doc.tree.kids == tree.kids and doc.tree.leaves == tree.leaves
+        assert_same_columns(doc.tree, tree)
 
     def test_leaf_number_validation(self):
         doc = {

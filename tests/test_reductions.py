@@ -5,7 +5,6 @@ import pytest
 
 from paymech import (
     AlaSpec,
-    Branch,
     DimensionMismatch,
     NegativeComponent,
     PatternViolated,
@@ -17,7 +16,6 @@ from paymech import (
     lp_to_game,
     point_from_scheme,
     scheme_from_point,
-    utility_matrix,
     verify,
 )
 
@@ -57,12 +55,11 @@ def test_gadget_structure():
     assert inst.tree.players == ("P1", "P2", "P3")
     assert inst.info.alphabet == ("top", "bot_1", "bot_2")
     assert inst.num_inequalities == 2 and inst.num_vars == 2
-    root = inst.tree.root
-    assert isinstance(root, Branch) and root.owner == 0
-    assert root.moves() == ("gadget_1", "gadget_2", "target")
+    assert inst.tree.owner[0] == 0
+    assert inst.tree.labels[0] == ("gadget_1", "gadget_2", "target")
     # per-gadget leaves: sabotage pays the saboteur 1 and the inequality
     # player the normalized bound
-    u = utility_matrix(inst.tree)
+    u = inst.tree.u
     np.testing.assert_allclose(u[0], [1, 0, 1, 0, 0])
     np.testing.assert_allclose(u[1], [1.0, 0, 0.75, 0, 0])
     np.testing.assert_allclose(u[2], [0, 0, 0, 0, 0])

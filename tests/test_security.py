@@ -22,7 +22,6 @@ from paymech import (
     check_profile,
     inducible_leaves,
     leaf,
-    utility_matrix,
     verify,
 )
 from paymech.security import SLACK_TOL
@@ -54,7 +53,7 @@ def test_commerce_constraints_are_the_known_three(commerce):
     assert system.alpha == 3
     assert [(r.deviator, r.leaf) for r in system.rows] == [(0, 2), (1, 1), (0, 0)]
     # every gap under the closed-form scheme is exactly x
-    u = utility_matrix(commerce.tree)
+    u = commerce.tree.u
     e = u - commerce.scheme.matrix @ commerce.info.phi
     np.testing.assert_allclose(system.a @ e.ravel(), [100.0, 100.0, 100.0], atol=1e-9)
 
@@ -166,7 +165,7 @@ def _reference_rows(tree, profile, t):
     chosen = check_profile(tree, profile)
     coalitions = [c for size in range(1, t + 1) for c in combinations(range(n), size)]
     supports, seen, rows, triplets = {}, set(), [], []
-    for v, root in enumerate(tree.order):
+    for v in range(len(tree.ids)):
         honest = [(j, p) for j, p in tree.reach(v, chosen) if p > 0]
         support = tuple(j for j, _ in honest)
         sid = supports.setdefault((support, tuple(p for _, p in honest)), len(supports))
@@ -178,7 +177,7 @@ def _reference_rows(tree, profile, t):
                         continue
                     seen.add((i, sid, j))
                     r = len(rows)
-                    rows.append(ConstraintRow(root.id, coalition, i, j))
+                    rows.append(ConstraintRow(tree.ids[v], coalition, i, j))
                     triplets += [(r, i * m + a, p) for a, p in honest] + [(r, i * m + j, -1.0)]
     return rows, triplets
 
@@ -314,7 +313,7 @@ def test_constraint_system_holds_no_dense_matrix():
         return branch(f"B{path}", depth % 2, kids)
 
     tree = GameTree(("A", "B"), node("", 0))
-    assert len(tree.order) == 3280
+    assert len(tree.ids) == 3280
     system = build_constraints(tree, backward_induction(tree), SecurityParams(delta=1.0))
     held = [value for value in vars(system).values() if isinstance(value, np.ndarray)]
     assert system.alpha > 0

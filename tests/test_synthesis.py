@@ -24,7 +24,6 @@ from paymech import (
     minmax_deposit,
     scheme_diagnostics,
     synthesize,
-    utility_matrix,
     verify,
 )
 from paymech import security, simplex, synthesis
@@ -79,7 +78,7 @@ def test_honest_invariance_leaves_intended_path_unpaid(commerce):
     params = SecurityParams(delta=1.0)
     scheme = synthesize(commerce.tree, commerce.info, commerce.profile, params,
                         opts=SynthesisOptions(honest_invariance=True))
-    u = utility_matrix(commerce.tree)
+    u = commerce.tree.u
     e = implemented_utilities(u, scheme, commerce.info)
     w, _ = honest_outcome(commerce.tree, "root", commerce.profile)
     support = np.nonzero(w > 0)[0]
