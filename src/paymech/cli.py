@@ -71,11 +71,16 @@ READ_DEPTH_CAP = 20_000
 
 
 def _read_doc(path: str, stdin):
-    if path == "-":
-        text = stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise ValidationError(
+            f"{name} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(READ_DEPTH_CAP)
     try:

@@ -17,12 +17,12 @@ which the tree keeps read-only.  A node with a leaf number is a leaf,
 one with an owner a branch, any other a chance node.
 
 Every tree is laid out and validated by one function, `_assemble`, from
-(id, kind, owner, labels) per node plus one utility and one emission row
-per leaf: `_structure` flattens a nested tree built in code into them,
-the document reader in `jsonio` emits them, and pickles and copies take
-them from the tree's columns.  `_assemble` places the children in one
-preorder loop, then checks each value rule once over its whole column
-(ids, branches, chance probabilities, leaves).  Each call resolves a
+the columns id, kind, owner and labels over preorder plus one utility and
+one emission row per leaf: `_structure` flattens a nested tree built in
+code into them, the document reader in `jsonio` emits them, and pickles
+and copies take them from the tree's columns.  `_assemble` places the
+children in one preorder loop, then checks each value rule once over its
+whole column (ids, branches, chance probabilities, leaves).  Each call resolves a
 strategy profile once, through `check_profile`, into `chosen`, the
 chosen child position of every branch; a profile that misses a branch
 or names another id is rejected.  The analyses are three loops over
@@ -41,6 +41,7 @@ columns and `chosen` into numpy arrays and works on those.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -105,7 +106,7 @@ Node = Union[Branch, Chance, Leaf]
 
 def _structure(root: Node) -> tuple:
     """What `_assemble` reads, over every node under `root` in preorder:
-    (id, kind, owner, labels) per node, the kind "leaf", "branch" or
+    the columns (ids, kinds, owners, labels), the kind "leaf", "branch" or
     "chance", the owner -1 off branches and the labels moves,
     probabilities or () at a leaf; then one utility row and one emission
     row per leaf.  Equal exactly when the nested trees are."""
@@ -125,7 +126,7 @@ def _structure(root: Node) -> tuple:
             raise ValidationError(f"unknown node type {type(node).__name__}")
         nodes.append((node.id, kind, owner, tuple(k for k, _ in children)))
         stack.extend(child for _, child in reversed(children))
-    return tuple(nodes), tuple(utilities), tuple(emissions)
+    return tuple(zip(*nodes)), tuple(utilities), tuple(emissions)
 
 
 def leaf(node_id: str, utilities: Iterable[float], emission: Iterable[float]) -> Leaf:
@@ -187,8 +188,8 @@ class GameTree:
     def __reduce__(self):
         kinds = ("leaf" if j >= 0 else "chance" if o < 0 else "branch"
                  for j, o in zip(self.leaf_index, self.owner))
-        nodes = tuple(zip(self.ids, kinds, self.owner, self.labels))
-        return GameTree.from_nodes, (self.players, (nodes, self.u.T, self.phi.T))
+        columns = (self.ids, tuple(kinds), self.owner, self.labels)
+        return GameTree.from_nodes, (self.players, (columns, self.u.T, self.phi.T))
 
     def __eq__(self, other):
         if type(other) is not GameTree:
@@ -256,7 +257,7 @@ def check_players(players) -> tuple[str, ...]:
     return players
 
 
-def _assemble(n: int, nodes, utilities, emissions):
+def _assemble(n: int, columns, utilities, emissions):
     """Lay the `_structure` triple out in preorder, then check it rule by
     rule: (ids, owner, labels, kids, leaf_index, positions, u, phi).
     Each node's children are the nodes placed after it until it has one
@@ -265,21 +266,27 @@ def _assemble(n: int, nodes, utilities, emissions):
     rule's is reported: ids; branches (a move, an owner in range, distinct
     move names); chance probabilities; leaf utility and emission counts,
     utility values, emission signs, emission sums."""
-    ids, kinds, owners, labels = zip(*nodes)
-    kids: list[list[int]] = [[] for _ in ids]
+    ids, kinds, owners, labels = map(tuple, columns)
+    kids: list = [()] * len(ids)
     leaf_index = [-1] * len(ids)
-    leaves: list[int] = []  # position of each leaf
-    parents: list[int] = []  # branch and chance nodes still taking children
-    for v, kind in enumerate(kinds):
-        if parents:
-            kids[parents[-1]].append(v)
+    leaves: list[int] = []  # the positions of each kind
+    branches: list[int] = []
+    chances: list[int] = []
+    # a node's child list once per child still to come, the deepest on top;
+    # the first list takes the root
+    slots: list[list[int]] = [[]]
+    for v, kind, arity in zip(range(len(ids)), kinds, map(len, labels)):
+        slots.pop().append(v)
+        if arity:
+            kids[v] = row = []
+            slots += [row] * arity
         if kind == "leaf":
             leaf_index[v] = len(leaves)
             leaves.append(v)
+        elif kind == "branch":
+            branches.append(v)
         else:
-            parents.append(v)
-        while parents and len(kids[parents[-1]]) == len(labels[parents[-1]]):
-            parents.pop()
+            chances.append(v)
 
     positions = dict(zip(ids, range(len(ids))))
     if len(positions) < len(ids):
@@ -289,41 +296,41 @@ def _assemble(n: int, nodes, utilities, emissions):
                 raise DuplicateNodeId(f"node id {node_id!r} appears more than once")
             seen.add(node_id)
 
-    for v, kind in enumerate(kinds):
-        if kind == "branch":
-            moves = labels[v]
-            if not moves:
-                raise ValidationError(f"branch {ids[v]} has no children")
-            if not 0 <= owners[v] < n:
-                raise DimensionMismatch(
-                    f"branch {ids[v]!r} owner {owners[v]} out of range for {n} players")
-            if len(set(moves)) != len(moves):
-                raise ValidationError(f"branch {ids[v]!r} repeats a move name")
-    for v, kind in enumerate(kinds):
-        if kind == "chance":
-            if min(labels[v], default=0.0) < 0:
-                raise BadProbabilitySum(f"chance node {ids[v]!r} has a negative probability")
-            total = sum(labels[v])
-            if not abs(total - 1.0) <= PROB_TOL:
-                raise BadProbabilitySum(f"chance node {ids[v]!r} probabilities sum to {total!r}")
+    for v in branches:
+        moves = labels[v]
+        if not moves:
+            raise ValidationError(f"branch {ids[v]} has no children")
+        if not 0 <= owners[v] < n:
+            raise DimensionMismatch(
+                f"branch {ids[v]!r} owner {owners[v]} out of range for {n} players")
+        if len(set(moves)) != len(moves):
+            raise ValidationError(f"branch {ids[v]!r} repeats a move name")
+    for v in chances:
+        if min(labels[v], default=0.0) < 0:
+            raise BadProbabilitySum(f"chance node {ids[v]!r} has a negative probability")
+        total = sum(labels[v])
+        if not abs(total - 1.0) <= PROB_TOL:
+            raise BadProbabilitySum(f"chance node {ids[v]!r} probabilities sum to {total!r}")
 
     # every branch and chance node has a child by now, so m >= 1
     s = len(emissions[0])
     if s < 1:
         raise DimensionMismatch(f"leaf {ids[leaves[0]]!r} has an empty emission pdf")
-    for v, utility, emission in zip(leaves, utilities, emissions):
-        if len(utility) != n:
-            raise DimensionMismatch(f"leaf {ids[v]!r} has {len(utility)} utilities, expected {n}")
-        if len(emission) != s:
-            raise DimensionMismatch(
-                f"leaf {ids[v]!r} emits over {len(emission)} symbols, expected {s}"
-            )
+    if {*map(len, utilities)} != {n} or {*map(len, emissions)} != {s}:
+        for v, utility, emission in zip(leaves, utilities, emissions):
+            if len(utility) != n:
+                raise DimensionMismatch(
+                    f"leaf {ids[v]!r} has {len(utility)} utilities, expected {n}")
+            if len(emission) != s:
+                raise DimensionMismatch(
+                    f"leaf {ids[v]!r} emits over {len(emission)} symbols, expected {s}")
     # one row per leaf here; the tree keeps the transposes
-    u = np.array(utilities, dtype=np.float64)
+    m = len(leaves)
+    u = np.fromiter(chain.from_iterable(utilities), np.float64, m * n).reshape(m, n)
     finite = np.isfinite(u).all(axis=1)
     if not finite.all():
         raise ValidationError(f"leaf {ids[leaves[finite.argmin()]]!r} has a non-finite utility")
-    phi = np.array(emissions, dtype=np.float64)
+    phi = np.fromiter(chain.from_iterable(emissions), np.float64, m * s).reshape(m, s)
     check_emission_columns(phi.T, lambda j: f"leaf {ids[leaves[j]]!r}")
     u.setflags(write=False)
     phi.setflags(write=False)

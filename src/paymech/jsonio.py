@@ -8,13 +8,20 @@ which preserves insertion order.
 
 Neither direction recurses, so document depth is bounded only by
 `json.loads`.  The reader makes one pass over the document tree with an
-explicit stack: it checks each node's JSON types and emits the node as
-(id, kind, owner, labels), plus a utility row and an emission row per
-leaf, which `GameTree.from_nodes` validates and lays out into the
-tree's columns, so every value rule and the layout stay in `game_core`;
-no node object is built.  The writer is one loop over a stack of
-literal text pieces and values still to be written; `game_to_doc`
-builds a tree's node documents from its columns.
+explicit stack: it checks each node's JSON types and emits the nodes as
+the columns (ids, kinds, owners, labels), plus a utility row and an
+emission row per leaf, which `GameTree.from_nodes` validates and lays
+out into the tree's columns, so every value rule and the layout stay in
+`game_core`; no node object is built.  A value of its exact JSON class
+passes a class identity test, and the leaf rows stay the lists
+`json.loads` built, their numbers tested as two columns in a few C-level
+passes.  Only where a test fails do the per-value helpers run: they name
+the first fault in preorder, or accept a subclass (a document built in
+code may hold `OrderedMap` children or numpy floats).  The writer is one
+loop over a stack of literal text pieces and values still to be written,
+and writes a str, float, int or list of them by class before trying
+`isinstance`; `game_to_doc` builds a tree's node documents from its
+columns.
 
 Every number array and profile from outside, in a document or a flag,
 is read by `read_array` or `read_profile`.
@@ -24,7 +31,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -53,7 +63,17 @@ def _format_float(v: float) -> str:
     return "0" if out == "-0" else out
 
 
+# the writers of the exact classes JSON reads back; other scalars, such as
+# bools, numpy scalars and subclasses, take the isinstance chain of `_scalar`
+_WRITE = {float: _format_float, str: _quote, int: int.__repr__}
+_EXACT = frozenset(_WRITE)
+_STR = frozenset((str,))
+
+
 def _scalar(v) -> str:
+    write = _WRITE.get(v.__class__)
+    if write is not None:
+        return write(v)
     if isinstance(v, np.generic):
         v = v.item()
     if isinstance(v, float):
@@ -72,6 +92,13 @@ def _scalar(v) -> str:
 def _inline(v) -> str | None:
     """The text of a value written on one line: a scalar, an empty
     container or a list of scalars; None for any other value."""
+    cls = v.__class__
+    if cls in _EXACT:
+        return _WRITE[cls](v)
+    if cls is list and {*map(type, v)} <= _EXACT:
+        return "[" + ", ".join(map(_scalar, v)) + "]"
+    if cls is dict:
+        return None if v else "{}"
     if isinstance(v, _SCALARS):
         return _scalar(v)
     if isinstance(v, (list, tuple)) and all(isinstance(x, _SCALARS) for x in v):
@@ -102,32 +129,36 @@ def dumps_canonical(doc) -> str:
             out.append(text)
             continue
         if isinstance(v, (list, tuple)):
-            entries = [("", x) for x in v]
+            keys, values = repeat(""), v
             text, close = "[", "]"
         elif isinstance(v, dict):
-            if not all(isinstance(k, str) for k in v):
+            if not ({*map(type, v)} <= _STR or all(isinstance(k, str) for k in v)):
                 raise ValidationError("document keys must be strings")
-            keys = list(v) if isinstance(v, OrderedMap) else sorted(v)
-            entries = [(_quote(k) + ": ", v[k]) for k in keys]
+            names = list(v) if isinstance(v, OrderedMap) else sorted(v)
+            keys, values = [_quote(k) + ": " for k in names], [v[k] for k in names]
             text, close = "{", "}"
         else:
             raise ValidationError(f"cannot serialize value of type {type(v).__name__}")
-        pieces: list = []
         inner = "  " * (indent + 1)
         sep = ",\n" + inner
+        end = "\n" + "  " * indent + close
         text += "\n" + inner
-        for k, (key, x) in enumerate(entries):
+        lines = [*map(_inline, values)]
+        if None not in lines:
+            out.append(text + sep.join(map(add, keys, lines)) + end)
+            continue
+        pieces: list = []
+        for k, (key, x, line) in enumerate(zip(keys, values, lines)):
             if k:
                 text += sep
             text += key
-            line = _inline(x)
             if line is None:
                 pieces.append(text)
                 pieces.append((x, indent + 1))
                 text = ""
             else:
                 text += line
-        pieces.append(text + "\n" + "  " * indent + close)
+        pieces.append(text + end)
         stack.extend(reversed(pieces))
     return "".join(out)
 
@@ -213,7 +244,9 @@ def read_array(raw, where, shape, inf=False) -> np.ndarray:
 
 def read_profile(raw, where) -> dict:
     """A strategy profile: a JSON object mapping branch ids to move names."""
-    if not isinstance(raw, dict) or not all(isinstance(x, str) for kv in raw.items() for x in kv):
+    if not isinstance(raw, dict) or not (
+            {*map(type, chain.from_iterable(raw.items()))} <= _STR
+            or all(isinstance(x, str) for kv in raw.items() for x in kv)):
         raise ValidationError(f"{where} must be an object mapping branch ids to move names")
     return dict(raw)
 
@@ -222,42 +255,129 @@ _NODE_SHAPE = ("each tree node must be an object with exactly one of "
                "'branch', 'chance', or 'leaf'")
 
 _KINDS = frozenset(("leaf", "branch", "chance"))
+_UTILITIES = itemgetter("utilities")
+_EMISSION = itemgetter("emission")
 
 
 def _read_tree(root) -> tuple:
     """The `_structure` triple of a document's tree, read in one preorder
     pass over an explicit stack; each node's JSON types are checked where
-    it is read, its values by `GameTree.from_nodes`."""
-    nodes, utilities, emissions = [], [], []
+    it is read, its values by `GameTree.from_nodes`.  A value of its exact
+    JSON class passes an identity test; any other goes to `_require`,
+    which raises the fault or accepts a subclass.  Leaf objects are kept
+    and their rows checked as columns by `_leaf_rows`, at the end of the
+    walk or, before a fault found in the walk is raised, over the leaves
+    read so far, so that the first fault in preorder is the one reported."""
+    ids: list = []
+    kinds: list = []
+    owners: list = []
+    labels: list = []
+    leaves: list = []
     stack = [root]
-    while stack:
-        doc = stack.pop()
-        if not isinstance(doc, dict) or len(doc) != 1:
-            raise ValidationError(_NODE_SHAPE)
-        (kind, body), = doc.items()
-        if kind not in _KINDS:
-            raise ValidationError(f"unknown node kind {kind!r}")
-        node_id = _require(body, "id", str, kind)
-        where = f"{kind} {node_id}"
-        if kind == "leaf":
-            utilities.append(_parse_numbers(_require(body, "utilities", list, where), "utilities"))
-            emissions.append(_parse_numbers(_require(body, "emission", list, where), "emission"))
-            owner, names, subs = -1, (), ()
-        elif kind == "branch":
-            owner = _require(body, "owner", int, where)
-            if isinstance(owner, bool):
-                raise ValidationError(f"{where}.owner must be an integer")
-            children = _require(body, "children", dict, where)
-            names, subs = tuple(map(str, children)), children.values()
-        else:
-            probs, subs = [], []
-            for entry in _require(body, "children", list, where):
-                probs.append(_require(entry, "p", float, where + " child"))
-                subs.append(_require(entry, "node", dict, where + " child"))
-            owner, names = -1, tuple(probs)
-        nodes.append((node_id, kind, owner, names))
-        stack.extend(reversed(subs))
-    return nodes, utilities, emissions
+    try:
+        while stack:
+            doc = stack.pop()
+            if doc.__class__ is not dict and not isinstance(doc, dict):
+                raise ValidationError(_NODE_SHAPE)
+            try:
+                kind, = doc
+            except ValueError:  # not exactly one key
+                raise ValidationError(_NODE_SHAPE) from None
+            body = doc[kind]
+            node_id = body.get("id") if body.__class__ is dict else None
+            if node_id.__class__ is not str:
+                if kind not in _KINDS:
+                    raise ValidationError(f"unknown node kind {kind!r}")
+                node_id = _require(body, "id", str, kind)
+            if kind == "leaf":
+                leaves.append(body)
+                owner, names = -1, ()
+            elif kind == "branch":
+                owner = body.get("owner")
+                if owner.__class__ is not int:
+                    owner = _require(body, "owner", int, f"branch {node_id}")
+                    if isinstance(owner, bool):
+                        raise ValidationError(f"branch {node_id}.owner must be an integer")
+                children = body.get("children")
+                if children.__class__ is not dict:
+                    children = _require(body, "children", dict, f"branch {node_id}")
+                names = tuple(children)
+                try:
+                    "".join(names)  # the keys of an object read from JSON are strings
+                except TypeError:
+                    names = tuple(map(str, names))
+                stack.extend(reversed(children.values()))
+            elif kind == "chance":
+                entries = body.get("children")
+                if entries.__class__ is not list:
+                    entries = _require(body, "children", list, f"chance {node_id}")
+                probs, subs = [], []
+                for entry in entries:
+                    p, sub = ((entry.get("p"), entry.get("node")) if entry.__class__ is dict
+                              else (None, None))
+                    if p.__class__ is not float:
+                        p = _require(entry, "p", float, f"chance {node_id} child")
+                    if sub.__class__ is not dict:
+                        sub = _require(entry, "node", dict, f"chance {node_id} child")
+                    probs.append(p)
+                    subs.append(sub)
+                owner, names = -1, tuple(probs)
+                stack.extend(reversed(subs))
+            else:
+                raise ValidationError(f"unknown node kind {kind!r}")
+            ids.append(node_id)
+            kinds.append(kind)
+            owners.append(owner)
+            labels.append(names)
+    except ValidationError:
+        _leaf_rows(leaves)
+        raise
+    return ((ids, kinds, owners, labels), *_leaf_rows(leaves))
+
+
+def _leaf_rows(leaves) -> tuple[list, list]:
+    """The utility rows and the emission rows of the leaf objects `leaves`,
+    each a list of numbers that are not bools and fit a float.  Each column
+    is tested in a few passes at C speed, and its rows are kept as read;
+    only when a test fails are the leaves walked in preorder, utilities
+    before emission, to report the first fault or to convert the numbers
+    of a subclass."""
+    try:
+        utilities = [*map(_UTILITIES, leaves)]
+        emissions = [*map(_EMISSION, leaves)]
+    except KeyError:
+        pass
+    else:
+        if _plain_rows(utilities) and _plain_rows(emissions):
+            return utilities, emissions
+    utilities, emissions = [], []
+    for body in leaves:
+        where = f"leaf {body['id']}"
+        utilities.append(_parse_numbers(_require(body, "utilities", list, where), "utilities"))
+        emissions.append(_parse_numbers(_require(body, "emission", list, where), "emission"))
+    return utilities, emissions
+
+
+_LIST = frozenset((list,))
+_FLOAT = frozenset((float,))
+_NUMBER = frozenset((float, int))
+
+
+def _plain_rows(rows) -> bool:
+    """Whether `rows` are lists of floats, or of floats and ints that
+    convert to floats."""
+    if not {*map(type, rows)} <= _LIST:
+        return False
+    classes = {*map(type, chain.from_iterable(rows))}
+    if classes <= _FLOAT:
+        return True
+    if not classes <= _NUMBER:
+        return False
+    try:  # an int beyond the float range does not convert
+        deque(map(float, chain.from_iterable(rows)), 0)
+    except OverflowError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -493,8 +493,10 @@ def _with(name, mutate):
     return doc
 
 
+NOT_UTF8 = b"\xff{"  # a file that cannot be decoded as text
 GAME_FAULTS = {
     "not JSON": "{",
+    "not UTF-8": NOT_UTF8,
     "not an object": [],
     "string utility": _with("GAME", lambda d: _stay(d).update(utilities=[1, "1"])),
     "bool utility": _with("GAME", lambda d: _stay(d).update(utilities=[1, True])),
@@ -565,6 +567,9 @@ def _fault_cases():
                                   id=f"implement target_e {fault}"))
     for fault, doc in PROFILE_FAULTS.items():
         cases.append(pytest.param(SIMULATE_PROFILE, {"PROFILE": doc}, id=f"--profile {fault}"))
+    for name, argv in (("SCHEME", FAULT_COMMANDS["verify"]),
+                       ("TARGET", FAULT_COMMANDS["implement"]), ("PROFILE", SIMULATE_PROFILE)):
+        cases.append(pytest.param(argv, {name: NOT_UTF8}, id=f"{name} not UTF-8"))
     cases.append(pytest.param(FAULT_COMMANDS["simulate"] + ["--seed", "-1"], {}, id="--seed -1"))
     for flag, value in LP_FAULTS:
         argv = list(FROM_LP)
@@ -602,7 +607,10 @@ def _fault_argv(tmp_path, argv, files):
     paths = {}
     for name, doc in {**FAULT_FILES, **files}.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         paths[name] = str(path)
     return [paths.get(a, a) for a in argv]
 

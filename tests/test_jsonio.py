@@ -1,6 +1,7 @@
 """Canonical serialization and document parsing."""
 
 import copy
+import enum
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
-from paymech import cli
+from paymech import cli, jsonio
 from paymech.jsonio import read_array, read_profile
 from paymech import (
     BadParameters,
@@ -161,6 +162,36 @@ class TestWriter:
         with pytest.raises(ValidationError):
             dumps_canonical(OrderedMap({2: "x"}))
 
+    def test_golden_bytes_of_subclasses(self):
+        # values of a subclass of a JSON type are written as that type
+        class Move(enum.IntEnum):
+            STAY = 3
+
+        class Name(str):
+            pass
+
+        class Weight(float):
+            pass
+
+        values = [Move.STAY, Name("é"), Weight(0.5), Weight(-0.0), np.bool_(False)]
+        doc = {"list": values, "move": Move.STAY, "name": Name("n"), "weight": Weight(2.0),
+               "flag": np.bool_(True), "nested": [values, {"k": Name("v")}]}
+        assert dumps_canonical(doc) == "\n".join([
+            '{',
+            '  "flag": true,',
+            '  "list": [3, "\\u00e9", 0.5, 0, false],',
+            '  "move": 3,',
+            '  "name": "n",',
+            '  "nested": [',
+            '    [3, "\\u00e9", 0.5, 0, false],',
+            '    {',
+            '      "k": "v"',
+            '    }',
+            '  ],',
+            '  "weight": 2',
+            '}',
+        ])
+
     def test_output_is_valid_json(self):
         doc = {"a": [1.25, -0.0], "b": {"c": "text", "d": [True, False]}}
         assert json.loads(dumps_canonical(doc)) == {
@@ -263,6 +294,115 @@ class TestGameDocs:
         doc["players"] = ["A", "A"]
         with pytest.raises(BadParameters, match="player names must be unique"):
             parse_game_doc(doc)
+
+    def test_reader_faults_come_in_preorder(self):
+        # of two JSON-type faults the first in preorder is reported, the
+        # number rules of a leaf's utilities included; within one leaf the
+        # utilities come before the emission
+        for first, second, message in [
+            (lambda d: _heads(d).update(utilities=[1, "two"]),
+             lambda d: _reply(d).update(owner=True),
+             "utilities must contain only numbers"),
+            (lambda d: _reply(d).update(owner=True),
+             lambda d: _stay(d).update(utilities=[3, "three"]),
+             "branch reply.owner must be an integer"),
+            (lambda d: _heads(d).update(utilities=[1, "two"]),
+             lambda d: _heads(d).pop("emission"),
+             "utilities must contain only numbers"),
+            (lambda d: _heads(d).update(utilities=[1, 10**400]),
+             lambda d: _heads(d).pop("emission"),
+             "utilities must contain only finite numbers"),
+            (lambda d: _heads(d).update(emission=["x", 1]),
+             lambda d: _stay(d).update(utilities=["y", 1]),
+             "emission must contain only numbers"),
+            (lambda d: _heads(d).update(utilities=[10**400, 1]),
+             lambda d: _stay(d).update(utilities=["y", 1]),
+             "utilities must contain only finite numbers"),
+            (lambda d: _coin_p(d, 10**400),
+             lambda d: _heads(d).update(utilities=["x", 1]),
+             "chance coin child.p must contain only finite numbers"),
+            (lambda d: _heads(d).update(utilities=[10**400, "x"]),
+             lambda d: None,
+             "utilities must contain only numbers"),
+        ]:
+            doc = copy.deepcopy(FAULT_BASE)
+            first(doc)
+            second(doc)
+            with pytest.raises(ValidationError) as info:
+                parse_game_doc(doc)
+            assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+    def test_code_built_documents_parse(self, commerce, pvc):
+        # game_to_doc's dicts, read with no JSON round trip: branch children
+        # are OrderedMaps, and every number is already a float
+        cases = [(commerce.tree, commerce.info.alphabet), (pvc.tree, pvc.info.alphabet),
+                 (_fault_base_tree(), ("x", "y")), (chain_tree(300), ("x", "y"))]
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            tree = random_tree(rng, n_players=int(rng.integers(1, 4)),
+                               num_symbols=int(rng.integers(1, 6)), max_nodes=30)
+            cases.append((tree, [f"s{k}" for k in range(tree.num_symbols)]))
+        for tree, alphabet in cases:
+            assert_same_columns(parse_game_doc(game_to_doc(tree, alphabet, {})).tree, tree)
+
+    def test_well_formed_trees_take_no_per_value_helper(self, commerce, monkeypatch):
+        # the per-value helpers serve faults and subclasses only; a tree
+        # read from JSON, with float or whole-number values, needs none
+        calls = []
+
+        def counted(name, helper):
+            def call(*args):
+                calls.append((name, args[-1]))  # the last argument names the value
+                return helper(*args)
+            return call
+
+        for name in ("_require", "_parse_numbers", "_to_floats"):
+            monkeypatch.setattr(jsonio, name, counted(name, getattr(jsonio, name)))
+        docs = [FAULT_BASE, game_to_doc(commerce.tree, commerce.info.alphabet, commerce.profile),
+                game_to_doc(chain_tree(50), ("x", "y"), {})]
+        for doc in docs:
+            parse_game_doc(json.loads(dumps_canonical(doc)))
+            parse_game_doc(json.loads(json.dumps(doc)))
+        assert {where for _, where in calls} == {"document"}
+
+    def test_numpy_numbers_in_documents(self):
+        doc = copy.deepcopy(FAULT_BASE)
+        _heads(doc).update(utilities=[np.float64(1.5), np.float64(-2)],
+                           emission=[np.float64(0.25), np.float64(0.75)])
+        _coin_p(doc, np.float64(0.5), np.float64(0.5))
+        tree = parse_game_doc(doc).tree
+        np.testing.assert_array_equal(tree.u[:, 0], [1.5, -2.0])
+        np.testing.assert_array_equal(tree.phi[:, 0], [0.25, 0.75])
+        assert tree.labels[1] == (0.5, 0.5)
+        for mutate, message in (
+            (lambda d: _heads(d).update(utilities=[np.int64(1), 2]),
+             "utilities must contain only numbers"),
+            (lambda d: _stay(d).update(emission=[0, np.int64(1)]),
+             "emission must contain only numbers"),
+            (lambda d: _coin_p(d, np.int64(1), 0),
+             "chance coin child.p must be a number"),
+        ):
+            doc = copy.deepcopy(FAULT_BASE)
+            mutate(doc)
+            with pytest.raises(ValidationError) as info:
+                parse_game_doc(doc)
+            assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+    def test_whole_numbers_read_as_their_floats(self):
+        # ints, some beyond 2**53 so that the conversion rounds, against
+        # the floats Python makes of them
+        big = [2**53 + 1, -(2**64 + 3), 10**300, 7]
+        docs = []
+        for spell in (int, float):
+            doc = copy.deepcopy(FAULT_BASE)
+            _heads(doc).update(utilities=[spell(v) for v in big[:2]], emission=[spell(0), 1])
+            _stay(doc).update(utilities=[spell(v) for v in big[2:]])
+            _coin_p(doc, spell(1), spell(0))
+            docs.append(doc)
+        a, b = (parse_game_doc(doc).tree for doc in docs)
+        assert a.u.tobytes() == b.u.tobytes() and a.phi.tobytes() == b.phi.tobytes()
+        assert a.labels == b.labels and a.labels[1] == (1.0, 0.0)
+        assert all(type(p) is float for p in a.labels[1])
 
     def test_value_faults_come_rule_by_rule(self):
         # each value rule runs over the whole tree before the next, in the
@@ -565,4 +705,14 @@ READER_FAULTS = [
      BadProbabilitySum, "leaf 'stay' has a negative emission probability"),
     ("duplicate id", lambda d: _stay(d).update(id="tails"),
      DuplicateNodeId, "node id 'tails' appears more than once"),
+    ("bool emission", lambda d: _heads(d).update(emission=[True, 0]),
+     ValidationError, "emission must contain only numbers"),
+    ("string emission", lambda d: _stay(d).update(emission=[0, "1"]),
+     ValidationError, "emission must contain only numbers"),
+    ("utilities not a list", lambda d: _heads(d).update(utilities={"A": 1, "B": 2}),
+     ValidationError, "leaf heads.utilities must be list"),
+    ("utility beyond the float range", lambda d: _stay(d).update(utilities=[3, 10**400]),
+     ValidationError, "utilities must contain only finite numbers"),
+    ("p beyond the float range", lambda d: _coin_p(d, 10**400),
+     ValidationError, "chance coin child.p must contain only finite numbers"),
 ]
