@@ -67,7 +67,7 @@ def run_episode(
 ) -> Episode:
     """Play one episode under the profile with a seeded generator."""
     _check_instance(tree, info, scheme, seed)
-    v, symbol_index = _play(tree, check_profile(tree, profile), tree.phi.T,
+    v, symbol_index = _play(tree, check_profile(tree, profile), info.phi.T,
                             np.random.default_rng(seed))
     j = tree.leaf_index[v]
     deposits = scheme.max_deposits
@@ -129,7 +129,7 @@ def monte_carlo(
     chosen = check_profile(tree, profile)
 
     rng = np.random.default_rng(seed)
-    emissions = tree.phi.T.tolist()
+    emissions = info.phi.T.tolist()
     plays = [_play(tree, chosen, emissions, rng) for _ in range(trials)]
     leaves = np.array([tree.leaf_index[v] for v, _ in plays])
     symbols = np.array([k for _, k in plays])

@@ -1,10 +1,16 @@
 """Finite extensive-form games of perfect information.
 
-A game is built in code from three node kinds: decision nodes owned by a
-player (Branch), random moves with fixed probabilities (Chance), and
-terminal nodes (Leaf).  Every leaf carries a utility vector, one entry
-per player, and an emission distribution over the symbols of whatever
-reporting mechanism observes the play.
+A game tree has one nested format, the one a game document holds.  Each
+node is an object with exactly one key: a decision node owned by a
+player, {"branch": {"id", "owner", "children": {move: node}}}; a random
+move with fixed probabilities, {"chance": {"id", "children": [{"p",
+"node"}]}}; or a terminal node, {"leaf": {"id", "utilities",
+"emission"}}.  Every leaf carries a utility vector, one entry per player,
+and an emission distribution over the symbols of whatever reporting
+mechanism observes the play.  `json.loads` builds these nodes from a
+document's text, and `leaf`, `branch` and `chance` build them in code
+(branch children as an `OrderedMap`, whose order the canonical writer
+keeps).
 
 A `GameTree` keeps no node object: it is columns over preorder
 positions, position 0 the root.  `ids[v]` is the node's id, `owner[v]`
@@ -16,13 +22,14 @@ the utility matrix `u` (n, m) and of the emission matrix `phi` (s, m),
 which the tree keeps read-only.  A node with a leaf number is a leaf,
 one with an owner a branch, any other a chance node.
 
-Every tree is laid out and validated by one function, `_assemble`, from
-the columns id, kind, owner and labels over preorder plus one utility and
-one emission row per leaf: `_structure` flattens a nested tree built in
-code into them, the document reader in `jsonio` emits them, and pickles
-and copies take them from the tree's columns.  `_assemble` places the
-children in one preorder loop, then checks each value rule once over its
-whole column (ids, branches, chance probabilities, leaves).  Each call resolves a
+`_read_tree` is the one reader of nested trees, from a document or from
+code: one pass over an explicit stack checks each node's JSON types and
+emits the columns id, kind, owner and labels over preorder plus one
+utility and one emission row per leaf.  `_assemble` lays those out and
+validates them, for read trees and for pickles and copies, which take
+them from the tree's columns.  It places the children in one preorder
+loop, then checks each value rule once over its whole column (ids,
+branches, chance probabilities, leaves).  Each call resolves a
 strategy profile once, through `check_profile`, into `chosen`, the
 chosen child position of every branch; a profile that misses a branch
 or names another id is rejected.  The analyses are three loops over
@@ -40,9 +47,11 @@ columns and `chosen` into numpy arrays and works on those.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -62,99 +71,46 @@ PROB_TOL = 1e-9
 StrategyProfile = Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class Leaf:
-    id: str
-    utilities: tuple[float, ...]
-    emission: tuple[float, ...]
+class OrderedMap(dict):
+    """Dict whose key order the canonical writer preserves: branch children."""
 
 
-class _Structural:
-    """== and hash by `_structure`, so deep trees compare without recursion;
-    repr shows the node's own fields and its child labels (moves or
-    probabilities), not its subtree."""
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return _structure(self) == _structure(other)
-
-    def __hash__(self):
-        return hash(_structure(self))
-
-    def __repr__(self):
-        owner = f", owner={self.owner}" if hasattr(self, "owner") else ""
-        labels = tuple(k for k, _ in self.children)
-        return f"{type(self).__name__}(id={self.id!r}{owner}, children={labels!r})"
+def leaf(node_id: str, utilities: Iterable[float], emission: Iterable[float]) -> dict:
+    return {"leaf": {"id": node_id, "utilities": [*map(float, utilities)],
+                     "emission": [*map(float, emission)]}}
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Branch(_Structural):
-    id: str
-    owner: int
-    children: tuple[tuple[str, "Node"], ...]
+def branch(node_id: str, owner: int, children) -> dict:
+    """A branch of player `owner`; `children` maps move names to nodes or
+    lists (move, node) pairs, in order."""
+    pairs = [*(children.items() if isinstance(children, Mapping) else children)]
+    moves = OrderedMap((str(m), c) for m, c in pairs)
+    if len(moves) < len(pairs):
+        raise _repeated_move(node_id)
+    return {"branch": {"id": node_id, "owner": int(owner), "children": moves}}
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Chance(_Structural):
-    id: str
-    children: tuple[tuple[float, "Node"], ...]
+def chance(node_id: str, children: Iterable[tuple[float, dict]]) -> dict:
+    return {"chance": {"id": node_id,
+                       "children": [{"p": float(p), "node": c} for p, c in children]}}
 
 
-Node = Union[Branch, Chance, Leaf]
-
-
-def _structure(root: Node) -> tuple:
-    """What `_assemble` reads, over every node under `root` in preorder:
-    the columns (ids, kinds, owners, labels), the kind "leaf", "branch" or
-    "chance", the owner -1 off branches and the labels moves,
-    probabilities or () at a leaf; then one utility row and one emission
-    row per leaf.  Equal exactly when the nested trees are."""
-    nodes, utilities, emissions = [], [], []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            kind, owner, children = "leaf", -1, ()
-            utilities.append(node.utilities)
-            emissions.append(node.emission)
-        elif isinstance(node, Branch):
-            kind, owner, children = "branch", node.owner, node.children
-        elif isinstance(node, Chance):
-            kind, owner, children = "chance", -1, node.children
-        else:
-            raise ValidationError(f"unknown node type {type(node).__name__}")
-        nodes.append((node.id, kind, owner, tuple(k for k, _ in children)))
-        stack.extend(child for _, child in reversed(children))
-    return tuple(zip(*nodes)), tuple(utilities), tuple(emissions)
-
-
-def leaf(node_id: str, utilities: Iterable[float], emission: Iterable[float]) -> Leaf:
-    return Leaf(node_id, tuple(float(u) for u in utilities), tuple(float(p) for p in emission))
-
-
-def branch(node_id: str, owner: int, children) -> Branch:
-    if isinstance(children, Mapping):
-        children = children.items()
-    return Branch(node_id, int(owner), tuple((str(m), c) for m, c in children))
-
-
-def chance(node_id: str, children: Iterable[tuple[float, Node]]) -> Chance:
-    return Chance(node_id, tuple((float(p), c) for p, c in children))
+def _repeated_move(node_id) -> ValidationError:
+    return ValidationError(f"branch {node_id!r} repeats a move name")
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class GameTree:
     """A validated game tree: columns over preorder positions.
 
-    `GameTree(players, root)` takes a nested tree built from `leaf`,
-    `branch` and `chance`.  Validation happens at construction: node ids
-    must be unique, chance probabilities and leaf emissions must be
-    distributions, utility vectors must be finite and match the player
-    count, and all leaves must emit over the same symbol count.  Pickling,
-    deepcopy, == and hash go through the columns, so deep trees do not
-    recurse; a zero utility or probability equals its negative, as it
-    does in a tuple.
+    `GameTree(players, root)` takes a nested tree: the tree of a game
+    document, or one built from `leaf`, `branch` and `chance`.
+    Validation happens at construction: node ids must be unique, chance
+    probabilities and leaf emissions must be distributions, utility
+    vectors must be finite and match the player count, and all leaves
+    must emit over the same symbol count.  Pickling, deepcopy, == and hash
+    go through the columns, so deep trees do not recurse; a zero utility
+    or probability equals its negative, as it does in a tuple.
     """
 
     players: tuple[str, ...]
@@ -169,14 +125,14 @@ class GameTree:
     u: np.ndarray
     phi: np.ndarray
 
-    def __init__(self, players, root: Node):
-        self._install(check_players(players), _structure(root))
+    def __init__(self, players, root):
+        self._install(check_players(players), _read_tree(root))
 
     @classmethod
     def from_nodes(cls, players: tuple[str, ...], structure) -> "GameTree":
-        """The tree of the `_structure` triple `structure`, with `players`
-        as `check_players` returns them: the form the document reader
-        emits."""
+        """The tree of `structure`, the columns and leaf rows `_read_tree`
+        returns, with `players` as `check_players` returns them: how
+        pickles and copies rebuild a tree."""
         tree = object.__new__(cls)
         tree._install(players, structure)
         return tree
@@ -257,15 +213,182 @@ def check_players(players) -> tuple[str, ...]:
     return players
 
 
+def _require(doc, key, kind, where):
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be an object")
+    if key not in doc:
+        raise ValidationError(f"{where} is missing {key!r}")
+    value = doc[key]
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{where}.{key} must be a number")
+        return _to_floats((value,), f"{where}.{key}")[0]
+    if not isinstance(value, kind):
+        raise ValidationError(f"{where}.{key} must be {kind.__name__}")
+    return value
+
+
+def _to_floats(numbers, where) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, numbers))
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{where} must contain only finite numbers") from None
+
+
+def _parse_numbers(values, where) -> tuple[float, ...]:
+    for v in values:
+        if v.__class__ is not float and (isinstance(v, bool) or not isinstance(v, (int, float))):
+            raise ValidationError(f"{where} must contain only numbers")
+    return _to_floats(values, where)
+
+
+_NODE_SHAPE = ("each tree node must be an object with exactly one of "
+               "'branch', 'chance', or 'leaf'")
+
+_KINDS = frozenset(("leaf", "branch", "chance"))
+_UTILITIES = itemgetter("utilities")
+_EMISSION = itemgetter("emission")
+
+
+def _read_tree(root) -> tuple:
+    """The nested tree `root` as `_assemble` reads it: the columns (ids,
+    kinds, owners, labels) over preorder, the kind "leaf", "branch" or
+    "chance", the owner -1 off branches and the labels moves,
+    probabilities or () at a leaf; then the utility rows and the emission
+    rows of the leaves.  One preorder pass over an explicit stack checks
+    each node's JSON types where it is read; `_assemble` checks the
+    values.  A value of its exact JSON class passes an identity test; any
+    other goes to `_require`, which raises the fault or accepts a
+    subclass (the `OrderedMap` children of `branch`, numpy floats).  Leaf
+    bodies are kept and their rows checked as columns by `_leaf_rows`, at
+    the end of the walk or, before a fault found in the walk is raised,
+    over the leaves read so far, so that the first fault in preorder is
+    the one reported."""
+    ids: list = []
+    kinds: list = []
+    owners: list = []
+    labels: list = []
+    leaves: list = []
+    stack = [root]
+    try:
+        while stack:
+            doc = stack.pop()
+            if doc.__class__ is not dict and not isinstance(doc, dict):
+                raise ValidationError(_NODE_SHAPE)
+            try:
+                kind, = doc
+            except ValueError:  # not exactly one key
+                raise ValidationError(_NODE_SHAPE) from None
+            body = doc[kind]
+            node_id = body.get("id") if body.__class__ is dict else None
+            if node_id.__class__ is not str:
+                if kind not in _KINDS:
+                    raise ValidationError(f"unknown node kind {kind!r}")
+                node_id = _require(body, "id", str, kind)
+            if kind == "leaf":
+                leaves.append(body)
+                owner, names = -1, ()
+            elif kind == "branch":
+                owner = body.get("owner")
+                if owner.__class__ is not int:
+                    owner = _require(body, "owner", int, f"branch {node_id}")
+                    if isinstance(owner, bool):
+                        raise ValidationError(f"branch {node_id}.owner must be an integer")
+                children = body.get("children")
+                if children.__class__ is not dict:
+                    children = _require(body, "children", dict, f"branch {node_id}")
+                names = tuple(children)
+                try:
+                    "".join(names)  # the keys of an object read from JSON are strings
+                except TypeError:  # a tree built without `branch` may have other keys
+                    names = tuple(map(str, names))
+                    if len(set(names)) < len(names):
+                        raise _repeated_move(node_id)
+                stack.extend(reversed(children.values()))
+            elif kind == "chance":
+                entries = body.get("children")
+                if entries.__class__ is not list:
+                    entries = _require(body, "children", list, f"chance {node_id}")
+                probs, subs = [], []
+                for entry in entries:
+                    p, sub = ((entry.get("p"), entry.get("node")) if entry.__class__ is dict
+                              else (None, None))
+                    if p.__class__ is not float:
+                        p = _require(entry, "p", float, f"chance {node_id} child")
+                    if sub.__class__ is not dict:
+                        sub = _require(entry, "node", dict, f"chance {node_id} child")
+                    probs.append(p)
+                    subs.append(sub)
+                owner, names = -1, tuple(probs)
+                stack.extend(reversed(subs))
+            else:
+                raise ValidationError(f"unknown node kind {kind!r}")
+            ids.append(node_id)
+            kinds.append(kind)
+            owners.append(owner)
+            labels.append(names)
+    except ValidationError:
+        _leaf_rows(leaves)
+        raise
+    return ((ids, kinds, owners, labels), *_leaf_rows(leaves))
+
+
+def _leaf_rows(leaves) -> tuple[list, list]:
+    """The utility rows and the emission rows of the leaf objects `leaves`,
+    each a list of numbers that are not bools and fit a float.  Each column
+    is tested in a few passes at C speed, and its rows are kept as read;
+    only when a test fails are the leaves walked in preorder, utilities
+    before emission, to report the first fault or to convert the numbers
+    of a subclass."""
+    try:
+        utilities = [*map(_UTILITIES, leaves)]
+        emissions = [*map(_EMISSION, leaves)]
+    except KeyError:
+        pass
+    else:
+        if _plain_rows(utilities) and _plain_rows(emissions):
+            return utilities, emissions
+    utilities, emissions = [], []
+    for body in leaves:
+        where = f"leaf {body['id']}"
+        utilities.append(_parse_numbers(_require(body, "utilities", list, where), "utilities"))
+        emissions.append(_parse_numbers(_require(body, "emission", list, where), "emission"))
+    return utilities, emissions
+
+
+_LIST = frozenset((list,))
+_FLOAT = frozenset((float,))
+_NUMBER = frozenset((float, int))
+
+
+def _plain_rows(rows) -> bool:
+    """Whether `rows` are lists of floats, or of floats and ints that
+    convert to floats."""
+    if not {*map(type, rows)} <= _LIST:
+        return False
+    classes = {*map(type, chain.from_iterable(rows))}
+    if classes <= _FLOAT:
+        return True
+    if not classes <= _NUMBER:
+        return False
+    try:  # an int beyond the float range does not convert
+        deque(map(float, chain.from_iterable(rows)), 0)
+    except OverflowError:
+        return False
+    return True
+
+
 def _assemble(n: int, columns, utilities, emissions):
-    """Lay the `_structure` triple out in preorder, then check it rule by
-    rule: (ids, owner, labels, kids, leaf_index, positions, u, phi).
+    """Lay what `_read_tree` returns out in preorder, then check it rule
+    by rule: (ids, owner, labels, kids, leaf_index, positions, u, phi).
     Each node's children are the nodes placed after it until it has one
     per label.  Each rule runs over its whole column and reports the first
     node that breaks it, in preorder, so of several faults the first
-    rule's is reported: ids; branches (a move, an owner in range, distinct
-    move names); chance probabilities; leaf utility and emission counts,
-    utility values, emission signs, emission sums."""
+    rule's is reported: ids; branches (a move, an owner in range); chance
+    probabilities; leaf utility and emission counts, utility values,
+    emission signs, emission sums.  Move names are distinct already:
+    they are the keys of one object, and `branch` and the reader check
+    them where keys are turned into strings."""
     ids, kinds, owners, labels = map(tuple, columns)
     kids: list = [()] * len(ids)
     leaf_index = [-1] * len(ids)
@@ -297,14 +420,11 @@ def _assemble(n: int, columns, utilities, emissions):
             seen.add(node_id)
 
     for v in branches:
-        moves = labels[v]
-        if not moves:
+        if not labels[v]:
             raise ValidationError(f"branch {ids[v]} has no children")
         if not 0 <= owners[v] < n:
             raise DimensionMismatch(
                 f"branch {ids[v]!r} owner {owners[v]} out of range for {n} players")
-        if len(set(moves)) != len(moves):
-            raise ValidationError(f"branch {ids[v]!r} repeats a move name")
     for v in chances:
         if min(labels[v], default=0.0) < 0:
             raise BadProbabilitySum(f"chance node {ids[v]!r} has a negative probability")

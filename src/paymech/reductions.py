@@ -116,6 +116,11 @@ def lp_to_game(a, b, c) -> LpGadgetInstance:
 
     a_bar = a / row_sums[:, None]
     b_bar = b / row_sums
+    beyond = ~(np.isfinite(row_sums) & np.isfinite(b_bar))
+    if beyond.any():
+        raise PreconditionViolated(
+            f"inequality row {beyond.argmax() + 1} has a sum or normalized right-hand side "
+            "beyond the float range")
 
     gadgets = []
     profile = {}

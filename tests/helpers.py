@@ -113,14 +113,17 @@ def has_chance(tree):
 
 
 def preorder_leaves(root):
-    """The `Leaf` objects of a nested tree, in leaf order."""
+    """The leaf bodies ({"id", "utilities", "emission"}) of a nested tree,
+    in leaf order."""
     out, stack = [], [root]
     while stack:
-        node = stack.pop()
-        if hasattr(node, "children"):
-            stack.extend(child for _, child in reversed(node.children))
+        (kind, body), = stack.pop().items()
+        if kind == "leaf":
+            out.append(body)
+        elif kind == "branch":
+            stack.extend(reversed(body["children"].values()))
         else:
-            out.append(node)
+            stack.extend(child["node"] for child in reversed(body["children"]))
     return out
 
 

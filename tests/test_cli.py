@@ -334,7 +334,15 @@ def test_numpy_warnings_stay_off_stderr():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == "error: leaf 'g1_sabotage' has a non-finite utility\n"
+    assert done.stderr == ("error: inequality row 1 has a sum or normalized right-hand side "
+                           "beyond the float range\n")
+
+
+def test_from_lp_overflow_names_the_row():
+    want = (2, "", "error: inequality row 1 has a sum or normalized right-hand side "
+                   "beyond the float range\n")
+    for a, b in (("[[1e308, 1e308]]", "[1]"), ("[[1e-308, 1e-308]]", "[1e308]")):
+        assert run(["gen", "from-lp", "--a", a, "--b", b, "--c", "[1, 1]"]) == want, a
 
 
 def test_help_exits_zero(capsys):

@@ -12,6 +12,8 @@ from paymech import (
     build_commerce,
     CommerceParams,
     check_profile,
+    honest_outcome,
+    implemented_utilities,
     monte_carlo,
     run_episode,
     trial_seed,
@@ -41,6 +43,23 @@ def test_episode_accounting(commerce_inst):
 
 
 DEVIATION = {"root": "send", "after_send": "reject", "after_not_send": "reject"}
+
+
+def test_episodes_draw_symbols_from_the_given_info(commerce_inst):
+    # an info structure that is not the tree's own: every leaf emits bot_S
+    inst = commerce_inst
+    phi = np.zeros((3, inst.tree.m))
+    phi[2] = 1.0
+    info = InfoStructure(inst.info.alphabet, phi)
+    w, _ = honest_outcome(inst.tree, inst.tree.ids[0], inst.profile)
+    exact = implemented_utilities(inst.tree.u, inst.scheme, info) @ w
+    np.testing.assert_allclose(exact, [-175.0, 56.25])
+    mc = monte_carlo(inst.tree, info, inst.scheme, inst.profile, 2000, 1)
+    np.testing.assert_array_equal(mc.symbol_frequencies, [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(mc.mean_utilities, exact)
+    ep = run_episode(inst.tree, info, inst.scheme, inst.profile, seed=1)
+    assert ep.symbol == "bot_S"
+    np.testing.assert_allclose(ep.realized_utilities, exact)
 
 
 def test_honest_path_deterministic(commerce_inst):

@@ -50,8 +50,8 @@ def test_from_tree_stacks_leaf_emissions():
     tree = GameTree(players, root)
     info = InfoStructure.from_tree(tree, ("w", "x", "y", "z"))
     assert info.phi.shape == (4, tree.m)
-    for j, lf in enumerate(preorder_leaves(root)):
-        np.testing.assert_array_equal(info.phi[:, j], lf.emission)
+    for j, body in enumerate(preorder_leaves(root)):
+        np.testing.assert_array_equal(info.phi[:, j], body["emission"])
     with pytest.raises(DimensionMismatch):
         InfoStructure.from_tree(tree, ("w", "x"))
 

@@ -10,30 +10,35 @@ import pickle
 import numpy as np
 import pytest
 
-from paymech import cli, jsonio
+from paymech import case_studies, cli, game_core, jsonio, reductions
 from paymech.jsonio import read_array, read_profile
 from paymech import (
     BadParameters,
     BadProbabilitySum,
+    CommerceParams,
     DimensionMismatch,
     DuplicateNodeId,
     GameDocument,
     GameTree,
     OrderedMap,
     PaymentScheme,
+    PvcParams,
     ValidationError,
     branch,
+    build_commerce,
+    build_pvc,
     chance,
     dumps_canonical,
     game_to_doc,
     leaf,
+    lp_to_game,
     parse_game_doc,
     parse_scheme_doc,
     scheme_to_doc,
 )
 
 from .helpers import (assert_same_columns, chain_tree, has_chance, leaf_ids, nested,
-                      random_instance, random_tree)
+                      random_instance, random_root, random_tree)
 
 # dumps_canonical's bytes for TestWriter.test_golden_bytes, copied from the
 # recursive writer's output before it was replaced
@@ -345,6 +350,35 @@ class TestGameDocs:
         for tree, alphabet in cases:
             assert_same_columns(parse_game_doc(game_to_doc(tree, alphabet, {})).tree, tree)
 
+    def test_documents_hold_the_builders_nodes(self, monkeypatch):
+        # a tree's document holds the very nodes it was built from, and a
+        # root with values exact in 12 digits reads back from its JSON text
+        # column for column
+        roots = []
+
+        def recording(players, root):
+            roots.append((players, root))
+            return GameTree(players, root)
+
+        monkeypatch.setattr(case_studies, "GameTree", recording)
+        monkeypatch.setattr(reductions, "GameTree", recording)
+        build_commerce(CommerceParams(x=100.0, x_prime=50.0, y=150.0, eps=0.1))
+        for collapse in (True, False):
+            build_pvc(PvcParams(n=4, eps=0.25, u_plus=2.0, u_minus=-1.0, delta=1.0), collapse)
+        lp_to_game([[2.0, 0.0], [1.0, 3.0]], [2.0, 3.0], [1.0, 1.0])
+        assert len(roots) == 5  # pvc builds the collapsed tree both times
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            players, root = random_root(rng, n_players=int(rng.integers(1, 4)),
+                                        num_symbols=int(rng.integers(1, 6)), max_nodes=30)
+            cut = nested(GameTree(players, root), value=lambda x: float(format(x, ".12g")))
+            roots.append((players, cut))
+        for players, root in roots:
+            tree = GameTree(players, root)
+            alphabet = [f"s{k}" for k in range(tree.num_symbols)]
+            assert game_to_doc(tree, alphabet, {})["tree"] == root
+            assert_same_columns(GameTree(players, json.loads(dumps_canonical(root))), tree)
+
     def test_well_formed_trees_take_no_per_value_helper(self, commerce, monkeypatch):
         # the per-value helpers serve faults and subclasses only; a tree
         # read from JSON, with float or whole-number values, needs none
@@ -356,10 +390,14 @@ class TestGameDocs:
                 return helper(*args)
             return call
 
-        for name in ("_require", "_parse_numbers", "_to_floats"):
-            monkeypatch.setattr(jsonio, name, counted(name, getattr(jsonio, name)))
         docs = [FAULT_BASE, game_to_doc(commerce.tree, commerce.info.alphabet, commerce.profile),
                 game_to_doc(chain_tree(50), ("x", "y"), {})]
+        # the tree reader's helpers live in game_core; jsonio reads the
+        # document's other fields with two of them
+        for module, names in ((game_core, ("_require", "_parse_numbers", "_to_floats")),
+                              (jsonio, ("_require", "_parse_numbers"))):
+            for name in names:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for doc in docs:
             parse_game_doc(json.loads(dumps_canonical(doc)))
             parse_game_doc(json.loads(json.dumps(doc)))

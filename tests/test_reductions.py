@@ -86,6 +86,17 @@ def test_lp_to_game_preconditions():
         lp_to_game([[1.0, 1.0]], [1.0], [1.0])
 
 
+def test_rows_beyond_the_float_range_rejected():
+    # a row sum or a normalized bound that overflows is a fault of that
+    # row, not of the gadget leaves built from it
+    for a, b in (([[1e308, 1e308]], [1.0]), ([[1e-308, 1e-308]], [1e308]),
+                 ([[1.0, 1.0], [1e-320, 0.0]], [1.0, 1.0])):
+        with np.errstate(all="ignore"), pytest.raises(PreconditionViolated) as info:
+            lp_to_game(a, b, [1.0, 1.0])
+        assert str(info.value) == (f"inequality row {len(a)} has a sum or normalized "
+                                   "right-hand side beyond the float range")
+
+
 def test_point_scheme_round_trip():
     a, b, c = sample_lp()
     inst = lp_to_game(a, b, c)
