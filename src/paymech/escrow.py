@@ -2,18 +2,20 @@
 
 Every player posts their worst-case payment up front; after the game
 reaches a leaf and a symbol is drawn from that leaf's pdf, each player
-is repaid their deposit minus the payment the symbol dictates.  Episodes
-are deterministic functions of (instance, seed): one generator draws one
-uniform per chance node on the path and one for the symbol.  Monte Carlo
-plays all its trials, in order, from one `default_rng(seed)`, so its
-first trial is `run_episode(seed)`.
+is repaid their deposit minus the payment the symbol dictates.  The
+mechanism sees only the symbol, so an episode's outcome is one draw from
+the joint law of (leaf, symbol): the on-profile leaf weights w of
+`GameTree.reach` times the emission matrix.  Episodes are deterministic
+functions of (instance, seed): one `default_rng(seed)` draws one uniform
+per trial and inverts it through the cumulative sums of that law, laid
+out leaf-major (each reachable leaf's symbols in order, leaves in leaf
+order).  Monte Carlo draws all its trials from one generator in trial
+order, so its first trial is `run_episode(seed)`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -40,13 +42,6 @@ class Episode:
         return float(self.net_losses.sum())
 
 
-def _sample_index(probs, rng) -> int:
-    # inverse-cdf draw; one uniform per random event keeps streams stable
-    edges = list(accumulate(probs))
-    r = rng.random() * edges[-1]
-    return min(bisect_right(edges, r), len(edges) - 1)
-
-
 def _check_instance(tree, info, scheme, seed):
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise BadParameters(f"seed must be a nonnegative integer, got {seed!r}")
@@ -67,15 +62,15 @@ def run_episode(
 ) -> Episode:
     """Play one episode under the profile with a seeded generator."""
     _check_instance(tree, info, scheme, seed)
-    v, symbol_index = _play(tree, check_profile(tree, profile), info.phi.T,
-                            np.random.default_rng(seed))
-    j = tree.leaf_index[v]
+    leaves, symbols = _draw(tree, info, check_profile(tree, profile),
+                            np.random.default_rng(seed), 1)
+    j, symbol_index = int(leaves[0]), int(symbols[0])
     deposits = scheme.max_deposits
     net_losses = scheme.matrix[:, symbol_index].copy()
     return Episode(
         seed=seed,
         leaf_index=j,
-        leaf_id=tree.ids[v],
+        leaf_id=tree.ids[tree.leaf_index.index(j)],
         symbol_index=symbol_index,
         symbol=info.alphabet[symbol_index],
         deposits=deposits,
@@ -85,14 +80,17 @@ def run_episode(
     )
 
 
-def _play(tree, chosen, emissions, rng):
-    """The leaf position and the symbol index of one episode under
-    `chosen`, drawn from `rng`; `emissions[j]` is leaf j's pdf."""
-    kids, owner, labels = tree.kids, tree.owner, tree.labels
-    v = 0
-    while kids[v]:
-        v = chosen[v] if owner[v] >= 0 else kids[v][_sample_index(labels[v], rng)]
-    return v, _sample_index(emissions[tree.leaf_index[v]], rng)
+def _draw(tree, info, chosen, rng, trials):
+    """Leaf numbers and symbol indices of `trials` episodes under
+    `chosen`: one uniform each from `rng`, inverted through the
+    leaf-major cumulative joint law.  `side="right"` never lands on an
+    entry of zero mass."""
+    leaves, weights = map(np.array, zip(*tree.reach(0, chosen)))
+    edges = np.cumsum((info.phi[:, leaves] * weights).T.ravel())
+    picks = np.minimum(np.searchsorted(edges, rng.random(trials) * edges[-1], side="right"),
+                       edges.size - 1)
+    rows, symbols = np.divmod(picks, info.s)
+    return leaves[rows], symbols
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +119,14 @@ def monte_carlo(
     trials: int,
     seed: int,
 ) -> McResult:
-    """Estimate implemented utilities from `trials` episodes played in
+    """Estimate implemented utilities from `trials` episodes drawn in
     order from one `default_rng(seed)`; trial 0 is `run_episode(seed)`."""
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise BadParameters(f"trials must be an integer >= 1, got {trials!r}")
     _check_instance(tree, info, scheme, seed)
     chosen = check_profile(tree, profile)
 
-    rng = np.random.default_rng(seed)
-    emissions = info.phi.T.tolist()
-    plays = [_play(tree, chosen, emissions, rng) for _ in range(trials)]
-    leaves = np.array([tree.leaf_index[v] for v, _ in plays])
-    symbols = np.array([k for _, k in plays])
+    leaves, symbols = _draw(tree, info, chosen, np.random.default_rng(seed), trials)
     # one C-ordered row per trial, as run_episode prices it
     losses = scheme.matrix.T[symbols]
     utilities = tree.u.T[leaves] - losses

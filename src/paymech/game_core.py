@@ -32,15 +32,15 @@ loop, then checks each value rule once over its whole column (ids,
 branches, chance probabilities, leaves).  Each call resolves a
 strategy profile once, through `check_profile`, into `chosen`, the
 chosen child position of every branch; a profile that misses a branch
-or names another id is rejected.  The analyses are three loops over
+or names another id is rejected.  The analyses are two loops over
 these columns, one per question, none recursive:
 - where on-profile or coalition play can go: the top-down spread
   `GameTree.reach`, which yields leaf numbers (`honest_outcome`,
-  `expected_utilities`, `inducible_leaves`, and a chance node's honest
-  outcome in `security.build_constraints`);
+  `expected_utilities`, `inducible_leaves`, a chance node's honest
+  outcome in `security.build_constraints`, and the (leaf, symbol) law
+  an escrow episode is drawn from);
 - what each player should do: `backward_induction`, one pass over
-  reversed preorder;
-- where one episode goes: the sampled path of an escrow episode.
+  reversed preorder.
 `security.build_constraints` loops over no other node: it copies the
 columns and `chosen` into numpy arrays and works on those.
 """

@@ -7,19 +7,23 @@ from paymech import (
     BadParameters,
     DimensionMismatch,
     Episode,
+    GameTree,
     InfoStructure,
     PaymentScheme,
     build_commerce,
     CommerceParams,
+    branch,
+    chance,
     check_profile,
     honest_outcome,
     implemented_utilities,
+    leaf,
     monte_carlo,
     run_episode,
     trial_seed,
 )
 
-from .helpers import has_chance, leaf_ids, random_instance
+from .helpers import has_chance, leaf_ids, random_emission, random_instance, random_profile
 
 
 @pytest.fixture(scope="module")
@@ -171,32 +175,24 @@ def _chance_instances(count):
             yield tree, info, PaymentScheme(rng.normal(size=(tree.n, info.s)).round(2)), profile
 
 
-def _replay(tree, profile, trials, seed):
+def _replay(tree, info, profile, trials, seed):
     """(leaf number, symbol index) of each trial as the Monte Carlo contract
-    states it: one generator for all trials, one uniform per chance node
-    and one for the symbol, each drawn by inverse CDF on the left-to-right
-    cumulative sums."""
-    chosen = check_profile(tree, profile)
+    states it: one generator for all trials and one uniform per trial,
+    drawn by inverse CDF on the left-to-right cumulative sums of the joint
+    law of (leaf, symbol), leaf-major over the reachable leaves in leaf
+    order."""
     rng = np.random.default_rng(seed)
-
-    def draw(probs):
-        edges, total = [], 0.0
-        for p in probs:
-            total += p
+    outcomes, edges, total = [], [], 0.0
+    for j, w in tree.reach(0, check_profile(tree, profile)):
+        for k in range(info.s):
+            total += float(info.phi[k, j]) * w
+            outcomes.append((j, k))
             edges.append(total)
-        r = rng.random() * total
-        return next((k for k, edge in enumerate(edges) if edge > r), len(edges) - 1)
-
     plays = []
     for _ in range(trials):
-        v = 0
-        while tree.kids[v]:
-            if tree.owner[v] >= 0:
-                v = chosen[v]
-            else:
-                v = tree.kids[v][draw(tree.labels[v])]
-        j = tree.leaf_index[v]
-        plays.append((j, draw(tree.phi[:, j].tolist())))
+        r = rng.random() * total
+        plays.append(outcomes[next((i for i, edge in enumerate(edges) if edge > r),
+                                   len(edges) - 1)])
     return plays
 
 
@@ -210,7 +206,7 @@ def test_monte_carlo_aggregates_run_episode(commerce_inst, case):
         tree, info, scheme, profile = list(_chance_instances(3))[case - 1]
     trials, seed = 300, 17 + case
     res = monte_carlo(tree, info, scheme, profile, trials, seed)
-    plays = _replay(tree, profile, trials, seed)
+    plays = _replay(tree, info, profile, trials, seed)
     utilities = np.array([tree.u[:, j] - scheme.matrix[:, k]
                           for j, k in plays])
     losses = np.array([scheme.matrix[:, k] for _, k in plays])
@@ -237,3 +233,93 @@ def test_monte_carlo_makes_one_generator(commerce_inst, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting)
     monte_carlo(inst.tree, inst.info, inst.scheme, DEVIATION, trials=300, seed=4)
     assert calls == [(4,)]
+
+
+def test_a_zero_uniform_draws_the_first_entry_of_positive_mass(commerce_inst, monkeypatch):
+    # the deviation's leaf never emits "top", its first entry in the law;
+    # a uniform of exactly 0 must pass over it to "bot_B"
+    inst = commerce_inst
+    assert inst.tree.phi[0, 2] == 0.0 < inst.tree.phi[1, 2]
+
+    class Zeros:
+        def random(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+    ep = run_episode(inst.tree, inst.info, inst.scheme, DEVIATION, seed=0)
+    assert (ep.leaf_id, ep.symbol) == ("item_not_paid", "bot_B")
+    res = monte_carlo(inst.tree, inst.info, inst.scheme, DEVIATION, trials=3, seed=0)
+    np.testing.assert_array_equal(res.symbol_frequencies, [0.0, 1.0, 0.0])
+
+
+def _chance_heavy_tree(rng):
+    """A random two-player tree of mostly chance nodes under a chance root.
+    Some chance children have probability 0 (the root always has one), and
+    leaves emit over 4 symbols, either a one-hot or a Dirichlet pdf."""
+    counter = [0]
+
+    def spread(width, zero):
+        probs = rng.dirichlet(np.ones(width))
+        if zero:
+            probs[rng.integers(width)] = 0.0
+            probs /= probs.sum()
+        return probs
+
+    def make_node(depth):
+        counter[0] += 1
+        if depth >= 3 or rng.random() < 0.2:
+            utilities = rng.integers(-5, 6, size=2).astype(float)
+            return leaf(f"L{counter[0]}", utilities, random_emission(rng, 4))
+        width = int(rng.integers(2, 4))
+        if rng.random() < 0.7:
+            probs = spread(width, rng.random() < 0.3)
+            return chance(f"C{counter[0]}", [(p, make_node(depth + 1)) for p in probs])
+        owner = int(rng.integers(2))
+        return branch(f"B{counter[0]}", owner, [(f"m{k}", make_node(depth + 1)) for k in range(width)])
+
+    kids = [(p, make_node(1)) for p in spread(3, True)]
+    return GameTree(("P1", "P2"), chance("root", kids))
+
+
+def _chi_square_limit(df, z=3.719):
+    """Wilson-Hilferty approximation of the chi-square quantile with `df`
+    degrees of freedom whose upper tail is 1e-4 (z is that normal quantile)."""
+    return df * (1.0 - 2.0 / (9.0 * df) + z * np.sqrt(2.0 / (9.0 * df))) ** 3
+
+
+def test_monte_carlo_draws_the_exact_joint_law():
+    # the drawn (leaf, symbol) counts follow (phi * w).T: chi-square over
+    # the cells of positive mass (those expecting under 5 draws pooled),
+    # no draw in a cell of zero mass, and the means within 4 SE of the
+    # exact implemented utilities
+    rng = np.random.default_rng(2024)
+    trials, checked = 20000, 0
+    while checked < 6:
+        tree = _chance_heavy_tree(rng)
+        info = InfoStructure.from_tree(tree, tuple(f"s{k}" for k in range(tree.num_symbols)))
+        scheme = PaymentScheme(rng.normal(size=(tree.n, info.s)).round(2))
+        profile = random_profile(rng, tree)
+        w, _ = honest_outcome(tree, "root", profile)
+        mass = (info.phi * w).T
+        # the root's zero-probability child gives leaves of weight 0; keep
+        # trees that also reach a zero entry of an emission
+        if not ((info.phi == 0.0) & (w > 0.0)).any() or np.count_nonzero(mass) < 5:
+            continue
+        checked += 1
+        seed = int(rng.integers(1 << 30))
+        res = monte_carlo(tree, info, scheme, profile, trials, seed)
+        plays = _replay(tree, info, profile, trials, seed)
+        counts = np.zeros_like(mass)
+        np.add.at(counts, tuple(np.array(plays).T), 1.0)
+        np.testing.assert_array_equal(res.symbol_frequencies, counts.sum(axis=0) / trials)
+        assert not counts[mass == 0.0].any()
+        expected = trials * mass[mass > 0.0]
+        observed = counts[mass > 0.0]
+        small = expected < 5.0
+        expected = np.append(expected[~small], expected[small].sum())
+        observed = np.append(observed[~small], observed[small].sum())
+        keep = expected > 0.0
+        stat = float((((observed - expected) ** 2)[keep] / expected[keep]).sum())
+        assert stat < _chi_square_limit(keep.sum() - 1), (checked, stat)
+        exact = implemented_utilities(tree.u, scheme, info) @ w
+        assert np.all(np.abs(res.mean_utilities - exact) <= 4 * res.std_errors + 1e-9)
