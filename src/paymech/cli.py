@@ -7,8 +7,12 @@ memory.  Bad input is a malformed document, flag value or seed, a file
 that cannot be read, an unbounded program, or a document nested more
 than READ_DEPTH_CAP levels deep; it writes one line to stderr and
 nothing to stdout.  A GAME or SCHEME argument of "-" reads from stdin.
-`dispatch` writes everything, argparse's help and usage errors too, to
-the streams it is given.
+
+Each command returns its exit code, its answer document and a stderr
+note, and writes nothing: once it completes, `dispatch` writes the
+document to -o or stdout, then the note, so a failing command leaves
+only its error line.  `dispatch` writes everything, argparse's help and
+usage errors too, to the streams it is given.
 
 Each command runs with the cyclic garbage collector paused, and the
 caller's setting is restored on every exit path.  A command builds large
@@ -42,7 +46,6 @@ from .errors import (
     Error,
     Infeasible,
     NoConstraints,
-    NotLeftInvertible,
     NumericalBreakdown,
     TargetNotImplementable,
     Unbounded,
@@ -102,7 +105,15 @@ def _security_params(args) -> SecurityParams:
     return SecurityParams(delta=args.delta, t=args.t)
 
 
-def _cmd_synth(args, stdout, stderr, stdin) -> int:
+def _game_and_scheme(args, stdin):
+    game = jsonio.parse_game_doc(_read_doc(args.game, stdin))
+    alphabet, scheme = jsonio.parse_scheme_doc(_read_doc(args.scheme, stdin))
+    if alphabet != game.info.alphabet:
+        raise ValidationError("scheme and game alphabets differ")
+    return game, scheme
+
+
+def _cmd_synth(args, stdin):
     game = jsonio.parse_game_doc(_read_doc(args.game, stdin))
     opts = SynthesisOptions(
         objective=OBJ_WEIGHTED if args.objective == "cost" else OBJ_MINMAX,
@@ -119,18 +130,12 @@ def _cmd_synth(args, stdout, stderr, stdin) -> int:
         scheme = synthesize(game.tree, game.info, game.profile,
                             _security_params(args), cost=cost, opts=opts)
     except Infeasible as exc:
-        _write_doc({"status": "infeasible", "reason": str(exc)}, args.output, stdout)
-        stderr.write(f"infeasible: {exc}\n")
-        return 1
-    _write_doc(jsonio.scheme_to_doc(game.info.alphabet, scheme), args.output, stdout)
-    return 0
+        return 1, {"status": "infeasible", "reason": str(exc)}, f"infeasible: {exc}\n"
+    return 0, jsonio.scheme_to_doc(game.info.alphabet, scheme), ""
 
 
-def _cmd_verify(args, stdout, stderr, stdin) -> int:
-    game = jsonio.parse_game_doc(_read_doc(args.game, stdin))
-    alphabet, scheme = jsonio.parse_scheme_doc(_read_doc(args.scheme, stdin))
-    if alphabet != game.info.alphabet:
-        raise ValidationError("scheme and game alphabets differ")
+def _cmd_verify(args, stdin):
+    game, scheme = _game_and_scheme(args, stdin)
     report = verify(game.tree, game.info, scheme, game.profile, _security_params(args))
     doc = {
         "passed": report.passed,
@@ -150,11 +155,10 @@ def _cmd_verify(args, stdout, stderr, stdin) -> int:
             for row, slack in report.violations
         ],
     }
-    _write_doc(doc, args.output, stdout)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), doc, ""
 
 
-def _cmd_implement(args, stdout, stderr, stdin) -> int:
+def _cmd_implement(args, stdin):
     game = jsonio.parse_game_doc(_read_doc(args.game, stdin))
     target_doc = _read_doc(args.target, stdin)
     if not isinstance(target_doc, dict) or "target_e" not in target_doc:
@@ -164,48 +168,29 @@ def _cmd_implement(args, stdout, stderr, stdin) -> int:
     try:
         scheme = scheme_for_target(u, target, game.info)
     except TargetNotImplementable as exc:
-        _write_doc(
-            {"status": "not_implementable", "worst_residual": exc.worst_residual},
-            args.output, stdout,
-        )
-        stderr.write(f"not implementable: {exc}\n")
-        return 1
-    _write_doc(jsonio.scheme_to_doc(game.info.alphabet, scheme), args.output, stdout)
-    return 0
+        doc = {"status": "not_implementable", "worst_residual": exc.worst_residual}
+        return 1, doc, f"not implementable: {exc}\n"
+    return 0, jsonio.scheme_to_doc(game.info.alphabet, scheme), ""
 
 
-def _cmd_bound(args, stdout, stderr, stdin) -> int:
+def _cmd_bound(args, stdin):
     game = jsonio.parse_game_doc(_read_doc(args.game, stdin))
+    doc = {"delta": args.delta, "t": args.t}
     try:
         report = deposit_lower_bound(game.tree, game.info, game.profile, _security_params(args))
     except NoConstraints as exc:
-        doc = {
-            "optimistic_bound": None,
-            "conservative_bound": None,
-            "delta_g": exc.min_max_deposit,
-            "delta": args.delta,
-            "t": args.t,
-            "alpha": 0,
-            "note": "no deviation constraints at these parameters",
-        }
-        _write_doc(doc, args.output, stdout)
-        return 0
-    doc = {
-        "optimistic_bound": report.optimistic_bound,
-        "conservative_bound": report.conservative_bound,
-        "delta_g": report.delta_g,
-        "delta": report.delta,
-        "t": report.t,
-        "n": report.n,
-        "num_symbols": report.num_symbols,
-        "alpha": report.alpha,
-        "au_norm": report.au_norm,
-    }
-    _write_doc(doc, args.output, stdout)
-    return 0
+        doc.update(optimistic_bound=None, conservative_bound=None,
+                   delta_g=exc.min_max_deposit, alpha=0,
+                   note="no deviation constraints at these parameters")
+        return 0, doc, ""
+    doc.update(optimistic_bound=report.optimistic_bound,
+               conservative_bound=report.conservative_bound, delta_g=report.delta_g,
+               n=report.n, num_symbols=report.num_symbols, alpha=report.alpha,
+               au_norm=report.au_norm)
+    return 0, doc, ""
 
 
-def _cmd_spe(args, stdout, stderr, stdin) -> int:
+def _cmd_spe(args, stdin):
     game = jsonio.parse_game_doc(_read_doc(args.game, stdin))
     profile = backward_induction(game.tree)
     values = expected_utilities(game.tree, profile)
@@ -215,15 +200,11 @@ def _cmd_spe(args, stdout, stderr, stdin) -> int:
         "players": list(game.tree.players),
         "matches_intended": profile == game.profile,
     }
-    _write_doc(doc, args.output, stdout)
-    return 0
+    return 0, doc, ""
 
 
-def _cmd_simulate(args, stdout, stderr, stdin) -> int:
-    game = jsonio.parse_game_doc(_read_doc(args.game, stdin))
-    alphabet, scheme = jsonio.parse_scheme_doc(_read_doc(args.scheme, stdin))
-    if alphabet != game.info.alphabet:
-        raise ValidationError("scheme and game alphabets differ")
+def _cmd_simulate(args, stdin):
+    game, scheme = _game_and_scheme(args, stdin)
     profile = game.profile
     if args.profile is not None:
         profile = jsonio.read_profile(_read_doc(args.profile, stdin), "profile document")
@@ -238,8 +219,7 @@ def _cmd_simulate(args, stdout, stderr, stdin) -> int:
         "symbol_frequencies": result.symbol_frequencies.tolist(),
         "mean_net_losses": result.mean_net_losses.tolist(),
     }
-    _write_doc(doc, args.output, stdout)
-    return 0
+    return 0, doc, ""
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -259,7 +239,8 @@ def _parse_json_array(text: str, flag: str, shape):
         raise ValidationError(f"{flag} expects a JSON array: {exc}")
 
 
-def _cmd_gen(args, stdout, stderr, stdin) -> int:
+def _cmd_gen(args, stdin):
+    note = ""
     if args.kind == "commerce":
         y = args.y if args.y is not None else 1.5 * args.x
         inst = build_commerce(CommerceParams(x=args.x, x_prime=args.x_prime, y=y, eps=args.eps))
@@ -271,11 +252,10 @@ def _cmd_gen(args, stdout, stderr, stdin) -> int:
                            u_minus=args.u_minus, delta=args.delta)
         inst = build_pvc(params, collapse=not args.uncollapsed)
         doc = jsonio.game_to_doc(inst.tree, pvc_alphabet(params.n), inst.profile)
-        stderr.write(
-            f"self-contained: {inst.self_contained} "
-            f"(needs delta >= {inst.self_containment_threshold:.6g}, "
-            f"conservative threshold {inst.conservative_threshold:.6g})\n"
-        )
+        # adding 0.0 turns a threshold of -0.0 into 0.0, as the document writer does
+        note = (f"self-contained: {inst.self_contained} "
+                f"(needs delta >= {inst.self_containment_threshold + 0.0:.6g}, "
+                f"conservative threshold {inst.conservative_threshold + 0.0:.6g})\n")
     elif args.kind == "from-lp":
         a = _parse_json_array(args.a, "--a", (None, None))
         b = _parse_json_array(args.b, "--b", (None,))
@@ -286,8 +266,7 @@ def _cmd_gen(args, stdout, stderr, stdin) -> int:
         damages = _parse_float_list(args.damages, "--damages")
         alphabet, scheme = ala_scheme(AlaSpec(tuple(damages)))
         doc = jsonio.scheme_to_doc(alphabet, scheme)
-    _write_doc(doc, args.output, stdout)
-    return 0
+    return 0, doc, note
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -423,10 +402,10 @@ def dispatch(argv=None, stdout=None, stderr=None, stdin=None) -> int:
         # an overflow or underflow warning would add lines to stderr; every
         # result is range-checked where it is built or written instead
         with np.errstate(all="ignore"):
-            return commands[args.command](args, stdout, stderr, stdin)
-    except (Infeasible, TargetNotImplementable, NotLeftInvertible) as exc:
-        stderr.write(f"no solution: {exc}\n")
-        return 1
+            code, doc, note = commands[args.command](args, stdin)
+            _write_doc(doc, args.output, stdout)
+        stderr.write(note)
+        return code
     except NumericalBreakdown as exc:
         stderr.write(f"numerical failure: {exc}\n")
         return 3

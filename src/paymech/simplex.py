@@ -12,12 +12,12 @@ infeasible.  The primal point and both sets of multipliers are solved
 from the one final basis.  Pivoting uses Bland's rule, so the method
 terminates without cycling: the first column with a negative reduced
 cost enters, and among the rows that tie in the ratio test (within
-1e-12 of the running best, taken in row order) the one with the
-smallest basic column leaves.  Each step is a few array operations:
-one scan of the reduced costs, one division for the ratios of the
-eligible rows and one rank-1 update of the rows the pivot column
-touches.  This is meant for the dense systems produced elsewhere in the
-package, not for large-scale work.
+1e-12 (1 + |r|) of the smallest ratio r) the one with the smallest basic
+column leaves.  Each step is a few array operations: one scan of the
+reduced costs, one division for the ratios of the eligible rows and one
+rank-1 update of the rows the pivot column touches.  This is meant for
+the dense systems produced elsewhere in the package, not for
+large-scale work.
 """
 
 from __future__ import annotations
@@ -125,12 +125,7 @@ def _run(tableau, basis, max_iter):
         if not eligible.size:
             return "unbounded"
         ratios = tableau[eligible, -1] / col[eligible]
-        # a ratio replaces the best only when smaller by more than 1e-12,
-        # so the tie set depends on the order of the rows
-        best = ratios[0]
-        for ratio in ratios[1:].tolist():
-            if ratio < best - 1e-12:
-                best = ratio
+        best = ratios.min()
         ties = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
         leave = ties[basis[ties].argmin()]
         _pivot(tableau, leave, enter)

@@ -127,17 +127,19 @@ def preorder_leaves(root):
     return out
 
 
-def nested(tree, phi=None, value=float):
+def nested(tree, phi=None, value=float, u=None):
     """The nested root of `tree`, built over reversed preorder from its
-    columns, with the emission matrix `phi` (s, m) in place of its own and
-    `value` applied to every probability, utility and emission."""
+    columns, with the emission matrix `phi` (s, m) and the utility matrix
+    `u` (n, m) in place of its own and `value` applied to every
+    probability, utility and emission."""
     phi = tree.phi if phi is None else phi
+    u = tree.u if u is None else u
     nodes = [None] * len(tree.ids)
     for v in reversed(range(len(tree.ids))):
         nid, j, owner = tree.ids[v], tree.leaf_index[v], tree.owner[v]
         kids = [nodes[c] for c in tree.kids[v]]
         if j >= 0:
-            nodes[v] = leaf(nid, map(value, tree.u[:, j]), map(value, phi[:, j]))
+            nodes[v] = leaf(nid, map(value, u[:, j]), map(value, phi[:, j]))
         elif owner >= 0:
             nodes[v] = branch(nid, owner, zip(tree.labels[v], kids))
         else:

@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 import paymech
-from paymech import PvcParams, backward_induction, build_pvc, cli, expected_utilities, jsonio
+from paymech import (
+    GameTree,
+    PvcParams,
+    backward_induction,
+    branch,
+    build_pvc,
+    cli,
+    expected_utilities,
+    jsonio,
+    leaf,
+)
 from paymech.cli import dispatch
 
 from .helpers import chain_tree
@@ -116,6 +126,32 @@ def test_bound_report(tmp_path):
     assert doc["au_norm"] == pytest.approx(100.0 * np.sqrt(2.0), rel=1e-9)
 
 
+def test_bound_without_constraints_reports_null_bounds():
+    # one player with one move: no deviation, so no constraint and no bound
+    tree = GameTree(("P",), branch("r", 0, [("only", leaf("x", (1.0,), (1.0,)))]))
+    text = json.dumps(jsonio.game_to_doc(tree, ("sym",), {"r": "only"}))
+    assert run(["bound", "-", "--delta", "1"], stdin_text=text) == (0, """{
+  "alpha": 0,
+  "conservative_bound": null,
+  "delta": 1,
+  "delta_g": 0,
+  "note": "no deviation constraints at these parameters",
+  "optimistic_bound": null,
+  "t": 1
+}
+""", "")
+
+
+def test_scheme_over_another_alphabet_exits_2(tmp_path):
+    game = str(gen_commerce(tmp_path))
+    scheme = tmp_path / "other.json"
+    scheme.write_text(json.dumps({"alphabet": ["a", "b", "c"],
+                                  "lambda": [[0, 0, 0], [0, 0, 0]]}))
+    for argv in (["verify", game, str(scheme), "--delta", "0"],
+                 ["simulate", game, str(scheme), "--trials", "10"]):
+        assert run(argv) == (2, "", "error: scheme and game alphabets differ\n"), argv
+
+
 # the deviation's path crosses no chance node, so these bytes have stayed
 # the same through every change of the Monte Carlo stream
 SIMULATE_DEVIATION_SEED_9 = """{
@@ -165,6 +201,21 @@ def test_gen_pvc_notes_self_containment(tmp_path):
     code, out, _ = run(["synth", str(path), "--delta", "1"])
     assert code == 0
     assert json.loads(out)["alphabet"][0] == "top"
+    # both thresholds are -0.0 at n = 3; the note prints them as 0
+    code, out, err = run(["gen", "pvc", "--n", "3", "--eps", "0.5", "--u-plus", "2",
+                          "--u-minus", "-1", "--delta", "1"])
+    assert code == 0 and json.loads(out)["players"] == ["P1", "P2", "P3"]
+    assert err == "self-contained: True (needs delta >= 0, conservative threshold 0)\n"
+
+
+def test_failed_write_prints_only_the_error(tmp_path):
+    # the note of a command is written after its document, so a document
+    # that cannot be written leaves the error line alone on stderr
+    code, out, err = run(["gen", "pvc", "--n", "3", "--eps", "0.5", "--u-plus", "2",
+                          "--u-minus", "-1", "--delta", "1",
+                          "-o", str(tmp_path / "missing" / "x.json")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_gen_ala():

@@ -29,7 +29,7 @@ from paymech import (
 from paymech import security, simplex, synthesis
 from paymech.synthesis import HONEST_EXPECTED, OBJ_MINMAX, OBJ_WEIGHTED
 
-from .helpers import random_instance, solvable_instance
+from .helpers import nested, random_instance, solvable_instance
 
 
 def greedy_two_leaf():
@@ -152,6 +152,21 @@ def test_minmax_value_nondecreasing_in_delta():
             scheme = synthesize(tree, info, profile, SecurityParams(delta=delta))
             values.append(scheme.matrix.max())
         assert all(a <= b + 1e-7 for a, b in zip(values, values[1:])), values
+
+
+def test_minmax_deposit_scales_with_utilities_and_delta():
+    # scaling every utility and delta by k scales the optimum by k; the
+    # solver's absolute tolerances still break this on these draws at
+    # k = 1e-6 (one optimum off by more than rel 1e-6) and k = 1e9 (four
+    # NumericalBreakdowns)
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        tree, info, profile = solvable_instance(rng)
+        base = synthesize(tree, info, profile, SecurityParams(delta=1.0)).matrix.max()
+        for k in (1e-3, 1e3, 1e6):
+            scaled = GameTree(tree.players, nested(tree, u=tree.u * k))
+            got = synthesize(scaled, info, profile, SecurityParams(delta=k)).matrix.max()
+            assert got == pytest.approx(k * base, rel=1e-6), (k, base, got)
 
 
 SWEEP_SHAPES = ((2, 3, 12, True), (2, 8, 60, True), (3, 4, 30, True), (2, 6, 100, False))
