@@ -5,19 +5,23 @@ variable free.  The solver works on the dual in standard form,
 maximize h'.y subject to G'^T y = c, y >= 0, where G' stacks G, A and -A
 (each equality as two opposite inequalities).  Its tableau has one row
 per primal variable however many inequality rows there are, which suits
-the synthesis programs: few free variables, many rows.  Phase one drives
-one artificial per row to zero; no dual point means the primal is
-unbounded or infeasible, and an unbounded phase two means it is
-infeasible.  The primal point and both sets of multipliers are solved
-from the one final basis.  Pivoting uses Bland's rule, so the method
-terminates without cycling: the first column with a negative reduced
-cost enters, and among the rows that tie in the ratio test (within
-1e-12 (1 + |r|) of the smallest ratio r) the one with the smallest basic
-column leaves.  Each step is a few array operations: one scan of the
-reduced costs, one division for the ratios of the eligible rows and one
-rank-1 update of the rows the pivot column touches.  This is meant for
-the dense systems produced elsewhere in the package, not for
-large-scale work.
+the synthesis programs: few free variables, many rows.  The start is a
+crash basis (Bixby 1992, "Implementing the simplex method: the initial
+basis"): a dual row with a positive unit column, which comes from a
+primal row that bounds that one variable, starts with that column basic,
+and phase one drives the artificials of the other rows to zero.  For the
+min-max synthesis program, solved over mu = D - lambda, only the deposit
+row is left to phase one.  No dual point means the primal is unbounded
+or infeasible, and an unbounded phase two means it is infeasible.  The
+primal point and both sets of multipliers are solved from the one final
+basis.  Pivoting uses Bland's rule, so the method terminates without
+cycling: the first column with a negative reduced cost enters, and among
+the rows that tie in the ratio test (within 1e-12 (1 + |r|) of the
+smallest ratio r) the one with the smallest basic column leaves.  Each
+step is a few array operations: one scan of the reduced costs, one
+division for the ratios of the eligible rows and one rank-1 update of
+the rows the pivot column touches.  This is meant for the dense systems
+produced elsewhere in the package, not for large-scale work.
 """
 
 from __future__ import annotations
@@ -144,15 +148,24 @@ def solve(lp: LinearProgram) -> LpOutcome:
     m = a.shape[1]
     b0 = lp.c * signs
 
-    # one artificial per row starts as the basis and never enters, so the
-    # tableau holds only the real columns; basis entry m + r is row r's
-    # artificial, a unit column
+    # crash basis: a row with a positive unit column (a primal row that
+    # bounds that one variable) starts with the first such column basic,
+    # at b0[r] / a[r, j] >= 0, and every other row with its artificial;
+    # artificials never enter, so the tableau holds only the real columns,
+    # and basis entry m + r is row r's artificial, a unit column
     tableau = np.zeros((d + 1, m + 1))
     tableau[:d, :-1] = a
     tableau[:d, -1] = b0
     basis = np.arange(m, m + d)
-    # canonical phase-one objective: minimize the artificial total
-    tableau[-1, :] = -tableau[:d].sum(axis=0)
+    nonzero = tableau[:, :-1] != 0  # the zero cost row keeps argmax defined at d = 0
+    row_of = nonzero.argmax(axis=0)  # each column's first nonzero row
+    unit = np.flatnonzero((np.count_nonzero(nonzero, axis=0) == 1)
+                          & (tableau[row_of, np.arange(m)] > 0))
+    rows, first = np.unique(row_of[unit], return_index=True)
+    basis[rows] = unit[first]
+    tableau[rows] /= tableau[rows, basis[rows], None]
+    # canonical phase-one objective: minimize the total of the artificials
+    tableau[-1, :] = -tableau[:d][basis >= m].sum(axis=0)
     max_iter = 2000 + 200 * (d + m + d)
     _run(tableau, basis, max_iter)
 

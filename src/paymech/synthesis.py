@@ -8,7 +8,12 @@ adds one row per symbol.  Infinite cost entries pin the corresponding
 payment to zero (rows of the identity), and honest invariance repeats
 one block per player (a Kronecker product with the identity).  Every
 block is built over the payments alone; the min-max objective then
-appends the D column and its cap rows D >= lambda once.
+appends the D column and its cap rows D >= lambda once.  That program is
+solved over mu = D*1 - lambda and D, an invertible change of variables
+that turns each cap row into the bound mu >= 0, so the simplex starts
+with every cap row basic and phase one runs over the D row alone.  The
+scheme is read back as lambda = D - mu and re-verified on the rows in
+lambda, and the dual multipliers are those of the program in lambda.
 """
 
 from __future__ import annotations
@@ -120,11 +125,13 @@ def _synthesize(tree, info, profile, system, cost_mat=None, opts=SynthesisOption
     a_eq = np.vstack(eq_blocks) if eq_blocks else np.zeros((0, ns))
 
     if opts.objective == OBJ_MINMAX:
-        # one more variable, the deposit D, with a cap row D - lambda >= 0
-        # per payment; it minimises D
-        g = np.block([[g, np.zeros((len(g), 1))], [-np.eye(ns), np.ones((ns, 1))]])
+        # one more variable, the deposit D, which is minimised, and the
+        # program is solved over mu = D*1 - lambda: a row r.lambda >= h
+        # reads -r.mu + (r.1) D >= h, and each cap row D >= lambda becomes
+        # the bound mu >= 0, whose dual column the simplex starts basic
+        g = np.block([[-g, g.sum(axis=1, keepdims=True)], [np.eye(ns), np.zeros((ns, 1))]])
         h = np.concatenate([h, np.zeros(ns)])
-        a_eq = np.hstack([a_eq, np.zeros((len(a_eq), 1))])
+        a_eq = np.hstack([-a_eq, a_eq.sum(axis=1, keepdims=True)])
         c = np.zeros(ns + 1)
         c[ns] = 1.0
     else:
@@ -137,7 +144,9 @@ def _synthesize(tree, info, profile, system, cost_mat=None, opts=SynthesisOption
     if outcome.status == "unbounded":
         raise Unbounded("cost objective is unbounded below on the feasible region")
 
-    scheme = PaymentScheme(outcome.x[:ns].reshape(n, s))
+    x = outcome.x
+    lam = x[ns] - x[:ns] if opts.objective == OBJ_MINMAX else x
+    scheme = PaymentScheme(lam.reshape(n, s))
     report = system.check(implemented_utilities(u, scheme, info))
     if not report.passed:
         raise NumericalBreakdown(

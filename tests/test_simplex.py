@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from paymech import LinearProgram, ValidationError, solve
+from paymech import LinearProgram, ValidationError, simplex, solve
 
 from .helpers import lp_oracle, random_lp
 
@@ -88,6 +88,30 @@ def test_no_constraints_zero_objective():
 def test_no_constraints_nonzero_objective_unbounded():
     out = solve(LinearProgram(c=[1.0, 0.0]))
     assert out.status == "unbounded"
+
+
+@pytest.mark.parametrize("second_row, phase_one", [([0.0, -1.0], 0), ([-1.0, -1.0], 1)])
+def test_rows_that_bound_one_variable_start_basic(monkeypatch, second_row, phase_one):
+    # x1 >= 0 bounds x1 alone; -x2 >= -5 bounds x2 alone (against its
+    # negative cost), so with it every dual row starts with a real column
+    # basic, and -x1 - x2 >= -5 leaves x2's row to phase one
+    lp = LinearProgram(c=[1.0, -1.0], g=[[1.0, 0.0], second_row, [1.0, 1.0]],
+                       h=[0.0, -5.0, 3.0])
+    pivots, starts = [], []
+    pivot, run = simplex._pivot, simplex._run
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
+    monkeypatch.setattr(simplex, "_run", lambda *args: starts.append(len(pivots)) or run(*args))
+    out = solve(lp)
+    assert starts[1] == phase_one  # the pivots made before phase two
+    assert out.is_optimal
+    np.testing.assert_allclose(out.x, [0.0, 5.0], atol=1e-9)
+    np.testing.assert_allclose(lp.g.T @ out.dual_ineq, lp.c, atol=1e-9)
+
+
+def test_no_variables():
+    out = solve(LinearProgram(c=np.zeros(0)))
+    assert out.is_optimal
+    assert out.value == 0.0
 
 
 def test_validation_errors():

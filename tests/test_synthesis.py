@@ -1,6 +1,10 @@
 """Scheme synthesis: objectives, side constraints, and failure modes."""
 
+import importlib.util
+import json
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from paymech import (
     implemented_utilities,
     leaf,
     minmax_deposit,
+    parse_game_doc,
     scheme_diagnostics,
     synthesize,
     verify,
@@ -157,13 +162,13 @@ def test_minmax_value_nondecreasing_in_delta():
 def test_minmax_deposit_scales_with_utilities_and_delta():
     # scaling every utility and delta by k scales the optimum by k; the
     # solver's absolute tolerances still break this on these draws at
-    # k = 1e-6 (one optimum off by more than rel 1e-6) and k = 1e9 (four
-    # NumericalBreakdowns)
+    # k = 1e-9 (four optima off by more than rel 1e-6 and one
+    # NumericalBreakdown) and k = 1e9 (four NumericalBreakdowns)
     rng = np.random.default_rng(5)
     for _ in range(60):
         tree, info, profile = solvable_instance(rng)
         base = synthesize(tree, info, profile, SecurityParams(delta=1.0)).matrix.max()
-        for k in (1e-3, 1e3, 1e6):
+        for k in (1e-6, 1e-3, 1e3, 1e6):
             scaled = GameTree(tree.players, nested(tree, u=tree.u * k))
             got = synthesize(scaled, info, profile, SecurityParams(delta=k)).matrix.max()
             assert got == pytest.approx(k * base, rel=1e-6), (k, base, got)
@@ -181,13 +186,13 @@ CASE_STUDIES = {
 # infeasible), and the simplex pivots of the solve; the ids leave out the
 # pivot count
 DEGENERATE_ROWS = [
-    (109, 4, 2, 0.0, 7.360222777119452, 99),
-    (128, 2, 1, 1.0, 4.5, 52),
-    (142, 2, 2, 1.0, None, 47),
-    (49, 2, 2, 1.0, 445.55431668640085, 119),
-    (55, 4, 2, 1.0, 77.1191805129405, 63),
-    ("commerce", 0, 1, 1.0, 50.625, 9),
-    ("pvc-4", 0, 1, 1.0, 2.0, 47),
+    (109, 4, 2, 0.0, 7.360222777119452, 41),
+    (128, 2, 1, 1.0, 4.5, 12),
+    (142, 2, 2, 1.0, None, 25),
+    (49, 2, 2, 1.0, 445.55431668640085, 51),
+    (55, 4, 2, 1.0, 77.1191805129405, 32),
+    ("commerce", 0, 1, 1.0, 50.625, 3),
+    ("pvc-4", 0, 1, 1.0, 2.0, 5),
 ]
 
 
@@ -231,3 +236,96 @@ def test_synthesize_builds_constraints_once(commerce, monkeypatch):
     monkeypatch.setattr(security, "build_constraints", counted)
     synthesize(commerce.tree, commerce.info, commerce.profile, SecurityParams(delta=1.0))
     assert len(calls) == 1
+
+
+def test_minmax_duals_certify_the_program_in_lambda(monkeypatch):
+    # the solve runs over (mu, D) = T (lambda, D) with T = [[-I, 1], [0, 1]],
+    # its own inverse; its multipliers must still certify the program in
+    # lambda: y >= 0, G^T y + A^T z = c and h.y + b.z = D*
+    solved = []
+    monkeypatch.setattr(synthesis, "solve",
+                        lambda lp: solved.append((lp, simplex.solve(lp))) or solved[-1][1])
+    instances = []
+    for name in ("commerce", "pvc-4"):
+        inst = CASE_STUDIES[name]()
+        for opts in (SynthesisOptions(), SynthesisOptions(zero_inflation=True)):
+            instances.append((inst.tree, inst.info, inst.profile, 1.0, opts))
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        instances.append((*solvable_instance(rng), float(rng.uniform(0, 2)), SynthesisOptions()))
+    for tree, info, profile, delta, opts in instances:
+        scheme = synthesize(tree, info, profile, SecurityParams(delta=delta), opts=opts)
+        lp, out = solved[-1]
+        ns = lp.num_vars - 1
+        t = np.eye(ns + 1)
+        t[:ns, :ns] *= -1.0
+        t[:ns, ns] = 1.0
+        g, a_eq, c = lp.g @ t, lp.a_eq @ t, t.T @ lp.c
+        # in lambda the cap rows read D - lambda >= 0 and the objective is D
+        np.testing.assert_array_equal(g[-ns:], np.hstack([-np.eye(ns), np.ones((ns, 1))]))
+        np.testing.assert_array_equal(c, np.eye(ns + 1)[ns])
+        y, z = out.dual_ineq, out.dual_eq
+        assert y.min() >= -1e-9 * max(1.0, np.abs(y).max())
+        scale = 1.0 + np.abs(g).T @ np.abs(y) + np.abs(a_eq).T @ np.abs(z)
+        assert np.all(np.abs(g.T @ y + a_eq.T @ z - c) <= 1e-9 * scale)
+        dual_value = lp.h @ y + lp.b_eq @ z
+        tol = 1e-9 * (1.0 + np.abs(lp.h) @ np.abs(y))
+        assert dual_value == pytest.approx(out.value, rel=1e-9, abs=tol)
+        assert scheme.matrix.max() == pytest.approx(out.value, rel=1e-9, abs=1e-12)
+
+
+def _bench_gen():
+    """`bench/gen.py`, the benchmark's seeded tree generator, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _balanced_16(players):
+    """The depth-5, width-4 tree with 16 symbols (1365 nodes) that
+    `bench/gen.py` draws from seed 7, read as a game document."""
+    gen = _bench_gen()
+    return parse_game_doc(json.loads(gen.game_text(
+        gen.balanced_tree(7, 5, 4, players=players, symbols=16))))
+
+
+SCALE_INSTANCES = {
+    "4x16": lambda: _balanced_16(4),
+    "8x16": lambda: _balanced_16(8),
+    # `gen pvc --n 32 --eps 0.5 --u-plus 2 --u-minus -1 --delta 1`, 2081 variables
+    "pvc-32": lambda: build_pvc(PvcParams(n=32, eps=0.5, u_plus=2.0, u_minus=-1.0, delta=1.0)),
+}
+
+# instance, delta, every player's max deposit (None: infeasible) and the
+# simplex pivots of the solve; started from artificials alone, phase one
+# of the 4x16 tree at delta 0 ran into the iteration limit
+SCALE_ROWS = [
+    ("4x16", 0.0, 0.0, 1),
+    ("4x16", 1.0, None, 3),
+    ("8x16", 0.0, 0.0, 1),
+    ("8x16", 1.0, None, 39),
+    ("pvc-32", 1.0, 2.0, 33),
+]
+
+
+@pytest.mark.parametrize("name, delta, deposit, pivots", SCALE_ROWS)
+def test_scale_instances_past_the_phase_one_cliff(monkeypatch, name, delta, deposit, pivots):
+    game = SCALE_INSTANCES[name]()
+    params = SecurityParams(delta=delta)
+    count = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: count.append(1) or pivot(*args))
+    if deposit is None:
+        with pytest.raises(Infeasible):
+            synthesize(game.tree, game.info, game.profile, params)
+    else:
+        scheme = synthesize(game.tree, game.info, game.profile, params)
+        np.testing.assert_allclose(scheme.max_deposits, deposit, rtol=1e-9, atol=1e-9)
+        assert verify(game.tree, game.info, scheme, game.profile, params).passed
+    assert len(count) == pivots
