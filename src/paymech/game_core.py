@@ -23,13 +23,12 @@ which the tree keeps read-only.  A node with a leaf number is a leaf,
 one with an owner a branch, any other a chance node.
 
 `_read_tree` is the one reader of nested trees, from a document or from
-code: one pass over an explicit stack checks each node's JSON types and
-emits the columns id, kind, owner and labels over preorder plus one
-utility and one emission row per leaf.  `_assemble` lays those out and
-validates them, for read trees and for pickles and copies, which take
-them from the tree's columns.  It places the children in one preorder
-loop, then checks each value rule once over its whole column (ids,
-branches, chance probabilities, leaves).  Each call resolves a
+code.  One pass over an explicit stack checks each node's JSON types and
+places it, appending its position to its parent's child list and
+numbering its leaf; then each value rule runs once over its whole column
+(ids, branches, chance probabilities, leaves).  Pickles and copies hold
+the tree's own columns, which passed every rule when the tree was read,
+and restore them without a second reading.  Each call resolves a
 strategy profile once, through `check_profile`, into `chosen`, the
 chosen child position of every branch; a profile that misses a branch
 or names another id is rejected.  The analyses are two loops over
@@ -108,9 +107,12 @@ class GameTree:
     Validation happens at construction: node ids must be unique, chance
     probabilities and leaf emissions must be distributions, utility
     vectors must be finite and match the player count, and all leaves
-    must emit over the same symbol count.  Pickling, deepcopy, == and hash
-    go through the columns, so deep trees do not recurse; a zero utility
-    or probability equals its negative, as it does in a tuple.
+    must emit over the same symbol count.  A pickle or copy holds the
+    fields but `positions` and restores them unchecked; pickle streams
+    are not an input format, and unpickling untrusted bytes is unsafe in
+    itself.  Pickling, deepcopy, == and hash go through the columns, so
+    deep trees do not recurse; a zero utility or probability equals its
+    negative, as it does in a tuple.
     """
 
     players: tuple[str, ...]
@@ -126,26 +128,16 @@ class GameTree:
     phi: np.ndarray
 
     def __init__(self, players, root):
-        self._install(check_players(players), _read_tree(root))
+        players = check_players(players)
+        self._install(players, *_read_tree(len(players), root))
 
-    @classmethod
-    def from_nodes(cls, players: tuple[str, ...], structure) -> "GameTree":
-        """The tree of `structure`, the columns and leaf rows `_read_tree`
-        returns, with `players` as `check_players` returns them: how
-        pickles and copies rebuild a tree."""
-        tree = object.__new__(cls)
-        tree._install(players, structure)
-        return tree
-
-    def _install(self, players, structure):
-        for f, value in zip(fields(self), (players, *_assemble(len(players), *structure))):
+    def _install(self, *values):
+        for f, value in zip(fields(self), values):
             object.__setattr__(self, f.name, value)
 
     def __reduce__(self):
-        kinds = ("leaf" if j >= 0 else "chance" if o < 0 else "branch"
-                 for j, o in zip(self.leaf_index, self.owner))
-        columns = (self.ids, tuple(kinds), self.owner, self.labels)
-        return GameTree.from_nodes, (self.players, (columns, self.u.T, self.phi.T))
+        return _restore, (self.players, self.ids, self.owner, self.labels, self.kids,
+                          self.leaf_index, self.u, self.phi)
 
     def __eq__(self, other):
         if type(other) is not GameTree:
@@ -203,6 +195,18 @@ class GameTree:
         return out
 
 
+def _restore(players, ids, owner, labels, kids, leaf_index, u, phi) -> GameTree:
+    """The tree whose fields `GameTree.__reduce__` gave, as a pickle or a
+    copy holds them: it installs them, rebuilds `positions` and makes `u`
+    and `phi` read-only, and does not read or check the tree again."""
+    u.setflags(write=False)
+    phi.setflags(write=False)
+    tree = object.__new__(GameTree)
+    tree._install(players, ids, owner, labels, kids, leaf_index,
+                  dict(zip(ids, range(len(ids)))), u, phi)
+    return tree
+
+
 def check_players(players) -> tuple[str, ...]:
     """The player names as a tuple: at least one, and no name twice."""
     players = tuple(str(p) for p in players)
@@ -250,29 +254,39 @@ _UTILITIES = itemgetter("utilities")
 _EMISSION = itemgetter("emission")
 
 
-def _read_tree(root) -> tuple:
-    """The nested tree `root` as `_assemble` reads it: the columns (ids,
-    kinds, owners, labels) over preorder, the kind "leaf", "branch" or
-    "chance", the owner -1 off branches and the labels moves,
-    probabilities or () at a leaf; then the utility rows and the emission
-    rows of the leaves.  One preorder pass over an explicit stack checks
-    each node's JSON types where it is read; `_assemble` checks the
-    values.  A value of its exact JSON class passes an identity test; any
-    other goes to `_require`, which raises the fault or accepts a
-    subclass (the `OrderedMap` children of `branch`, numpy floats).  Leaf
-    bodies are kept and their rows checked as columns by `_leaf_rows`, at
-    the end of the walk or, before a fault found in the walk is raised,
-    over the leaves read so far, so that the first fault in preorder is
-    the one reported."""
+def _read_tree(n: int, root) -> tuple:
+    """The `GameTree` fields after `players` of the nested tree `root` in
+    a game of `n` players.  One preorder pass over an explicit stack
+    checks each node's JSON types and places it: its position joins the
+    child list on top of `slots`, which pops in step with the node stack,
+    and a leaf takes the next leaf number.  A value of its exact JSON
+    class passes an identity test; any other goes to `_require`, which
+    raises the fault or accepts a subclass (the `OrderedMap` children of
+    `branch`, numpy floats).  `_leaf_rows` checks the leaf rows as
+    columns after the walk or, before a fault found in it is raised, over
+    the leaves read so far: the first JSON type fault in preorder is
+    reported.  Then each value rule runs once over its column and reports
+    its first node in preorder, in rule order: ids; branches (a move, an
+    owner in range); chance probabilities; leaf utility and emission
+    counts, utility values, emission signs, emission sums.  Move names
+    are distinct already: they are the keys of one object, and `branch`
+    and the reader check them where keys are turned into strings."""
     ids: list = []
-    kinds: list = []
     owners: list = []
     labels: list = []
-    leaves: list = []
+    kids: list = []
+    leaf_index: list = []
+    leaves: list[int] = []  # the positions of each kind
+    branches: list[int] = []
+    chances: list[int] = []
+    bodies: list = []  # the leaf objects, in leaf order
     stack = [root]
+    slots: list[list[int]] = [[]]  # the child list of each node on `stack`
     try:
         while stack:
             doc = stack.pop()
+            v = len(ids)
+            slots.pop().append(v)
             if doc.__class__ is not dict and not isinstance(doc, dict):
                 raise ValidationError(_NODE_SHAPE)
             try:
@@ -285,9 +299,12 @@ def _read_tree(root) -> tuple:
                 if kind not in _KINDS:
                     raise ValidationError(f"unknown node kind {kind!r}")
                 node_id = _require(body, "id", str, kind)
+            j = -1
             if kind == "leaf":
-                leaves.append(body)
-                owner, names = -1, ()
+                j = len(leaves)
+                leaves.append(v)
+                bodies.append(body)
+                owner, names, row = -1, (), ()
             elif kind == "branch":
                 owner = body.get("owner")
                 if owner.__class__ is not int:
@@ -304,6 +321,9 @@ def _read_tree(root) -> tuple:
                     names = tuple(map(str, names))
                     if len(set(names)) < len(names):
                         raise _repeated_move(node_id)
+                branches.append(v)
+                row = []
+                slots += [row] * len(names)
                 stack.extend(reversed(children.values()))
             elif kind == "chance":
                 entries = body.get("children")
@@ -320,17 +340,67 @@ def _read_tree(root) -> tuple:
                     probs.append(p)
                     subs.append(sub)
                 owner, names = -1, tuple(probs)
+                chances.append(v)
+                row = []
+                slots += [row] * len(subs)
                 stack.extend(reversed(subs))
             else:
                 raise ValidationError(f"unknown node kind {kind!r}")
             ids.append(node_id)
-            kinds.append(kind)
             owners.append(owner)
             labels.append(names)
+            kids.append(row)
+            leaf_index.append(j)
     except ValidationError:
-        _leaf_rows(leaves)
+        _leaf_rows(bodies)
         raise
-    return ((ids, kinds, owners, labels), *_leaf_rows(leaves))
+    utilities, emissions = _leaf_rows(bodies)
+
+    positions = dict(zip(ids, range(len(ids))))
+    if len(positions) < len(ids):
+        seen: set = set()
+        for node_id in ids:
+            if node_id in seen:
+                raise DuplicateNodeId(f"node id {node_id!r} appears more than once")
+            seen.add(node_id)
+
+    for v in branches:
+        if not labels[v]:
+            raise ValidationError(f"branch {ids[v]} has no children")
+        if not 0 <= owners[v] < n:
+            raise DimensionMismatch(
+                f"branch {ids[v]!r} owner {owners[v]} out of range for {n} players")
+    for v in chances:
+        if min(labels[v], default=0.0) < 0:
+            raise BadProbabilitySum(f"chance node {ids[v]!r} has a negative probability")
+        total = sum(labels[v])
+        if not abs(total - 1.0) <= PROB_TOL:
+            raise BadProbabilitySum(f"chance node {ids[v]!r} probabilities sum to {total!r}")
+
+    # every branch and chance node has a child by now, so m >= 1
+    s = len(emissions[0])
+    if s < 1:
+        raise DimensionMismatch(f"leaf {ids[leaves[0]]!r} has an empty emission pdf")
+    if {*map(len, utilities)} != {n} or {*map(len, emissions)} != {s}:
+        for v, utility, emission in zip(leaves, utilities, emissions):
+            if len(utility) != n:
+                raise DimensionMismatch(
+                    f"leaf {ids[v]!r} has {len(utility)} utilities, expected {n}")
+            if len(emission) != s:
+                raise DimensionMismatch(
+                    f"leaf {ids[v]!r} emits over {len(emission)} symbols, expected {s}")
+    # one row per leaf here; the tree keeps the transposes
+    m = len(leaves)
+    u = np.fromiter(chain.from_iterable(utilities), np.float64, m * n).reshape(m, n)
+    finite = np.isfinite(u).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"leaf {ids[leaves[finite.argmin()]]!r} has a non-finite utility")
+    phi = np.fromiter(chain.from_iterable(emissions), np.float64, m * s).reshape(m, s)
+    check_emission_columns(phi.T, lambda j: f"leaf {ids[leaves[j]]!r}")
+    u.setflags(write=False)
+    phi.setflags(write=False)
+    return (tuple(ids), tuple(owners), tuple(labels), tuple(map(tuple, kids)),
+            tuple(leaf_index), positions, u.T, phi.T)
 
 
 def _leaf_rows(leaves) -> tuple[list, list]:
@@ -376,85 +446,6 @@ def _plain_rows(rows) -> bool:
     except OverflowError:
         return False
     return True
-
-
-def _assemble(n: int, columns, utilities, emissions):
-    """Lay what `_read_tree` returns out in preorder, then check it rule
-    by rule: (ids, owner, labels, kids, leaf_index, positions, u, phi).
-    Each node's children are the nodes placed after it until it has one
-    per label.  Each rule runs over its whole column and reports the first
-    node that breaks it, in preorder, so of several faults the first
-    rule's is reported: ids; branches (a move, an owner in range); chance
-    probabilities; leaf utility and emission counts, utility values,
-    emission signs, emission sums.  Move names are distinct already:
-    they are the keys of one object, and `branch` and the reader check
-    them where keys are turned into strings."""
-    ids, kinds, owners, labels = map(tuple, columns)
-    kids: list = [()] * len(ids)
-    leaf_index = [-1] * len(ids)
-    leaves: list[int] = []  # the positions of each kind
-    branches: list[int] = []
-    chances: list[int] = []
-    # a node's child list once per child still to come, the deepest on top;
-    # the first list takes the root
-    slots: list[list[int]] = [[]]
-    for v, kind, arity in zip(range(len(ids)), kinds, map(len, labels)):
-        slots.pop().append(v)
-        if arity:
-            kids[v] = row = []
-            slots += [row] * arity
-        if kind == "leaf":
-            leaf_index[v] = len(leaves)
-            leaves.append(v)
-        elif kind == "branch":
-            branches.append(v)
-        else:
-            chances.append(v)
-
-    positions = dict(zip(ids, range(len(ids))))
-    if len(positions) < len(ids):
-        seen: set = set()
-        for node_id in ids:
-            if node_id in seen:
-                raise DuplicateNodeId(f"node id {node_id!r} appears more than once")
-            seen.add(node_id)
-
-    for v in branches:
-        if not labels[v]:
-            raise ValidationError(f"branch {ids[v]} has no children")
-        if not 0 <= owners[v] < n:
-            raise DimensionMismatch(
-                f"branch {ids[v]!r} owner {owners[v]} out of range for {n} players")
-    for v in chances:
-        if min(labels[v], default=0.0) < 0:
-            raise BadProbabilitySum(f"chance node {ids[v]!r} has a negative probability")
-        total = sum(labels[v])
-        if not abs(total - 1.0) <= PROB_TOL:
-            raise BadProbabilitySum(f"chance node {ids[v]!r} probabilities sum to {total!r}")
-
-    # every branch and chance node has a child by now, so m >= 1
-    s = len(emissions[0])
-    if s < 1:
-        raise DimensionMismatch(f"leaf {ids[leaves[0]]!r} has an empty emission pdf")
-    if {*map(len, utilities)} != {n} or {*map(len, emissions)} != {s}:
-        for v, utility, emission in zip(leaves, utilities, emissions):
-            if len(utility) != n:
-                raise DimensionMismatch(
-                    f"leaf {ids[v]!r} has {len(utility)} utilities, expected {n}")
-            if len(emission) != s:
-                raise DimensionMismatch(
-                    f"leaf {ids[v]!r} emits over {len(emission)} symbols, expected {s}")
-    # one row per leaf here; the tree keeps the transposes
-    m = len(leaves)
-    u = np.fromiter(chain.from_iterable(utilities), np.float64, m * n).reshape(m, n)
-    finite = np.isfinite(u).all(axis=1)
-    if not finite.all():
-        raise ValidationError(f"leaf {ids[leaves[finite.argmin()]]!r} has a non-finite utility")
-    phi = np.fromiter(chain.from_iterable(emissions), np.float64, m * s).reshape(m, s)
-    check_emission_columns(phi.T, lambda j: f"leaf {ids[leaves[j]]!r}")
-    u.setflags(write=False)
-    phi.setflags(write=False)
-    return ids, owners, labels, tuple(map(tuple, kids)), tuple(leaf_index), positions, u.T, phi.T
 
 
 def check_emission_columns(phi: np.ndarray, name) -> None:

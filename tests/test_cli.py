@@ -520,6 +520,19 @@ def test_stray_intended_id_fails_alike(tmp_path):
         assert run([str(a) for a in argv]) == want, argv[0]
 
 
+def test_coalition_bound_above_the_player_count_exits_2(tmp_path):
+    # build_constraints rejects t > n; every command that takes --t says so
+    game = gen_commerce(tmp_path)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"alphabet": ["top", "bot_B", "bot_S"],
+                                  "lambda": [[0, 0, 0], [0, 0, 0]]}))
+    want = (2, "", "error: coalition bound t=3 exceeds 2 players\n")
+    for argv in (["synth", game, "--delta", "1", "--t", "3"],
+                 ["verify", game, scheme, "--delta", "1", "--t", "3"],
+                 ["bound", game, "--delta", "1", "--t", "3"]):
+        assert run([str(a) for a in argv]) == want, argv[0]
+
+
 # The fault table: every subcommand against every kind of malformed
 # input.  The valid documents below (moves named "0" and "1", so that a
 # profile value 1 read as the string "1" would name a move) are written

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from paymech import (
+    BadParameters,
     BadProbabilitySum,
     ConstraintRow,
     InfoStructure,
@@ -193,6 +194,17 @@ def test_child_that_is_not_a_node_rejected():
         assert (type(info.value), str(info.value)) == (
             ValidationError,
             "each tree node must be an object with exactly one of 'branch', 'chance', or 'leaf'")
+
+
+def test_unknown_id_and_empty_player_list_rejected():
+    tree = two_level_tree()
+    with pytest.raises(UnknownNodeId) as info:
+        tree.position("zz")
+    assert str(info.value) == "no node with id 'zz'"
+    with pytest.raises(BadParameters) as info:
+        GameTree((), nested(tree))
+    assert (type(info.value), str(info.value)) == (
+        BadParameters, "a game needs at least one player")
 
 
 def test_check_profile_requires_every_branch_and_no_strays():

@@ -711,6 +711,13 @@ READER_FAULTS = [
      ValidationError, NODE_SHAPE),
     ("unknown kind", lambda d: _reply(d)["children"].update(stay={"widget": {}}),
      ValidationError, "unknown node kind 'widget'"),
+    ("unknown kind with an id",
+     lambda d: _reply(d)["children"].update(stay={"fork": {"id": "x"}}),
+     ValidationError, "unknown node kind 'fork'"),
+    ("chance children not a list", lambda d: _coin(d).update(children={"heads": 1}),
+     ValidationError, "chance coin.children must be list"),
+    ("chance child node not an object", lambda d: _coin(d)["children"][0].update(node=["leaf"]),
+     ValidationError, "chance coin child.node must be dict"),
     ("missing id", lambda d: _heads(d).pop("id"),
      ValidationError, "leaf is missing 'id'"),
     ("non-string id", lambda d: _heads(d).update(id=7),
