@@ -114,12 +114,14 @@ def _game_and_scheme(args, stdin):
 
 
 def _cmd_synth(args, stdin):
+    if args.honest_form and not args.honest_invariant:
+        raise ValidationError("--honest-form needs --honest-invariant")
     game = jsonio.parse_game_doc(_read_doc(args.game, stdin))
     opts = SynthesisOptions(
         objective=OBJ_WEIGHTED if args.objective == "cost" else OBJ_MINMAX,
         zero_inflation=args.zero_inflation,
         honest_invariance=args.honest_invariant,
-        honest_form=args.honest_form,
+        honest_form=args.honest_form or HONEST_PER_LEAF,
     )
     # infinite cost entries pin scheme entries to zero, so the matrix
     # matters under either objective when the document carries one
@@ -316,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--honest-invariant", action="store_true",
                    help="forbid expected payments on the intended path")
     p.add_argument("--honest-form", choices=[HONEST_PER_LEAF, HONEST_EXPECTED],
-                   default=HONEST_PER_LEAF,
-                   help="honest invariance per support leaf, or in expectation")
+                   help="with --honest-invariant: invariance per support leaf (the "
+                        "default), or in expectation")
     _add_output(p)
 
     p = sub.add_parser("verify", help="check a scheme against the deviation constraints")

@@ -7,10 +7,10 @@ member's expected on-profile utility beats the leaf by at least delta.
 Each requirement is one row on member i's row of E = U - Lambda @ Phi:
 the subgame's honest outcome (support leaves and weights) against one
 deviation leaf, with right-hand side delta, stored as (player, outcome
-id, leaf) over one flat (outcome id, leaf, weight) table.  Rows are
-deduplicated on (player, outcome, leaf), keeping the first in the order
-(subgame in preorder, coalition size, coalition in combinations order,
-member, leaf).
+id, leaf) over one flat (outcome id, leaf, weight) table.  No two rows
+share (player, outcome, leaf): no two emitting subgames (below) share an
+outcome.  Rows go by subgame in preorder, coalition size, coalition in
+combinations order, member, leaf.
 
 `build_constraints` works on arrays over the compiled preorder.  Only a
 subgame whose honest outcome differs from its parent's emits rows: any
@@ -219,7 +219,7 @@ def build_constraints(
     # Honest outcomes.  Play from v follows chosen children down to its
     # head, a leaf or chance node, and v's outcome is the head's.  Leaf j
     # is outcome j; a chance node's outcome is the leaves it reaches with
-    # positive weight, numbered m, m+1, ... unless a head before it had
+    # positive weight, with id m, m+1, ... unless a head before it had
     # the same leaves and weights.
     sid = leaf_index.copy()
     ids: dict[tuple, int] = {}
@@ -282,32 +282,24 @@ def build_constraints(
     slot = slot[player, group[pos]]
     order = np.argsort(seg[pos] * (len(ranked) * n) + slot, kind="stable")
     slot, pos = slot[order], pos[order]
-    # Deduplicated on (player, outcome, leaf), keeping the first: a subgame
-    # has one row per (player, leaf), so only shared outcomes can repeat.
-    player, leaf, seg = slot % n, leaf[pos], seg[pos]
-    row_sid = sub_sid[seg]
-    keep = np.bincount(sub_sid)[row_sid] == 1
-    shared = np.flatnonzero(~keep)
-    key = np.ravel_multi_index((player[shared], row_sid[shared], leaf[shared]), (n, len(sup_len), m))
-    keep[shared[np.unique(key, return_index=True)[1]]] = True
-    player, leaf, row_sid, seg = player[keep], leaf[keep], row_sid[keep], seg[keep]
-    # number the coalitions the rows use, in rank order
-    coalition = slot[keep] // n
-    used = np.bincount(coalition, minlength=len(ranked)) > 0
-    coalition = (np.cumsum(used) - 1)[coalition]
-    members = np.unpackbits(joined[:, ranked[used]], axis=0, count=n)
+    # Rows are unique as built.  A subgame has one row per (player, leaf),
+    # and no two emitting subgames share an outcome: its support lies under
+    # both heads, so the lower subgame is on the upper one's play, and its
+    # parent has the same outcome (a chance parent whose one positive child
+    # has p = 1 takes the child's id by key), so the lower one does not
+    # emit.  Every ranked coalition comes from a (member, group) with rows.
+    player, leaf, seg, coalition = slot % n, leaf[pos], seg[pos], slot // n
+    members = np.unpackbits(joined[:, ranked], axis=0, count=n)
     coalitions = tuple(tuple(np.flatnonzero(c).tolist()) for c in members.T)
 
-    # renumber the outcomes the rows use, in order of first use: rows go
-    # by subgame, so that is the order of the subgames that have rows
-    used = sub_sid[np.flatnonzero(np.bincount(seg, minlength=len(sub)))]
-    used = used[np.sort(np.unique(used, return_index=True)[1])]
-    number = np.zeros(len(sup_len), dtype=np.intp)
-    number[used] = np.arange(len(used))
+    # outcome ids in the order of the subgames that have rows, in preorder
+    has = np.bincount(seg, minlength=len(sub)) > 0
+    used = sub_sid[has]
     entries = _ranges(sup_start[used], sup_len[used])
     rhs = np.full(len(player), float(params.delta))
-    arrays = (player, number[row_sid], leaf, np.repeat(np.arange(len(used)), sup_len[used]),
-              sup_leaf[entries], sup_weight[entries], rhs, sub[seg], coalition)
+    arrays = (player, (np.cumsum(has) - 1)[seg], leaf,
+              np.repeat(np.arange(len(used)), sup_len[used]), sup_leaf[entries],
+              sup_weight[entries], rhs, sub[seg], coalition)
     for arr in arrays:
         arr.setflags(write=False)
     return ConstraintSystem(*arrays, coalitions, tree, n, m)
@@ -334,6 +326,6 @@ def verify(
 ) -> VerifyReport:
     """Check whether the scheme secures the profile at (delta, t)."""
     if info.m != tree.m:
-        raise DimensionMismatch(f"{info.m} emission columns for {tree.m} leaves")
+        raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
     system = build_constraints(tree, profile, params)
     return system.check(implemented_utilities(tree.u, scheme, info))

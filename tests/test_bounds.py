@@ -9,7 +9,9 @@ from paymech import (
     GameTree,
     InfoStructure,
     NoConstraints,
+    NormReport,
     SecurityParams,
+    ValidationError,
     branch,
     build_constraints,
     constraint_utility_product,
@@ -38,6 +40,12 @@ def test_spectral_norm_edge_cases():
     u = np.array([1.0, 2.0, 2.0])
     v = np.array([3.0, 4.0])
     assert spectral_norm(np.outer(u, v)) == pytest.approx(15.0)
+    for mat, message in [([1.0, 2.0], "expected a matrix, got ndim 1"),
+                         ([[1.0, np.inf]], "matrix has non-finite entries")]:
+        with pytest.raises(ValidationError) as err:
+            spectral_norm(mat)
+        assert str(err.value) == message
+    assert norms(np.zeros((0, 3))) == NormReport(0.0, 0.0, 0.0, 0.0)
 
 
 def test_norm_report_values():

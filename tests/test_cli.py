@@ -269,6 +269,20 @@ def test_synth_structure_flags(tmp_path):
     assert code == 0
 
 
+def test_honest_form_needs_honest_invariant(tmp_path):
+    # alone, --honest-form would change nothing; it is rejected before the
+    # game is read
+    game = gen_commerce(tmp_path)
+    want = (2, "", "error: --honest-form needs --honest-invariant\n")
+    for form in ("per_leaf", "expected"):
+        assert run(["synth", str(game), "--delta", "1", "--honest-form", form]) == want
+        assert run(["synth", "missing.json", "--delta", "1", "--honest-form", form]) == want
+    invariant = run(["synth", str(game), "--delta", "1", "--honest-invariant"])
+    assert invariant[0] == 0
+    assert run(["synth", str(game), "--delta", "1", "--honest-invariant",
+                "--honest-form", "per_leaf"]) == invariant
+
+
 def test_cached_parser_keeps_no_flags_between_calls(tmp_path):
     game = gen_commerce(tmp_path)
     cli.build_parser.cache_clear()

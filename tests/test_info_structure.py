@@ -32,6 +32,14 @@ def test_info_structure_validation():
         InfoStructure(("a", "b", "c"), [[1.0], [0.0]])
     with pytest.raises(BadParameters):
         InfoStructure(("a", "a"), [[0.5, 0.5], [0.5, 0.5]])
+    for alphabet, phi, error, message in [
+        ((), np.zeros((0, 1)), BadParameters, "alphabet must contain at least one symbol"),
+        (("a",), [1.0], DimensionMismatch, "emission matrix must be two-dimensional"),
+        (("a",), np.zeros((1, 0)), DimensionMismatch, "emission matrix needs at least one column"),
+    ]:
+        with pytest.raises(error) as err:
+            InfoStructure(alphabet, phi)
+        assert str(err.value) == message
     # a NaN sum is not within tolerance of 1, nor is an infinite entry's
     nan, inf = float("nan"), float("inf")
     for phi, message in [([[nan], [nan]], "leaf column 0 emission pdf sums to nan"),
@@ -64,6 +72,8 @@ def test_payment_scheme_basics():
         PaymentScheme([[np.inf, 0.0]])
     with pytest.raises(DimensionMismatch):
         PaymentScheme([1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="payment matrix must be at least 1x1"):
+        PaymentScheme(np.zeros((0, 3)))
 
 
 def test_implemented_utilities_hand_example():
@@ -72,6 +82,30 @@ def test_implemented_utilities_hand_example():
     u = np.array([[10.0, 20.0]])
     e = implemented_utilities(u, scheme, info)
     np.testing.assert_allclose(e, [[10.0 - 2.0, 20.0 - (2.0 * 0.25 - 4.0 * 0.75)]])
+
+
+def test_shape_faults_rejected():
+    info = InfoStructure(("a", "b"), [[1.0, 0.25, 0.0, 1.0], [0.0, 0.75, 1.0, 0.0]])
+    three = InfoStructure(("a", "b", "c"), [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                            [0.0, 0.0, 1.0, 1.0]])
+    scheme = PaymentScheme(np.zeros((2, 2)))
+    for call, message in [
+        (lambda: implemented_utilities(np.zeros(4), scheme, info),
+         "utility matrix must be two-dimensional"),
+        (lambda: implemented_utilities(np.zeros((3, 4)), scheme, info),
+         "3 utility rows vs 2 scheme rows"),
+        (lambda: implemented_utilities(np.zeros((2, 4)), scheme, three),
+         "scheme covers 2 symbols, alphabet has 3"),
+        (lambda: implemented_utilities(np.zeros((2, 5)), scheme, info),
+         "5 utility columns vs 4 emission columns"),
+        (lambda: scheme_for_target(np.zeros((2, 4)), np.zeros((2, 3)), info),
+         "utility shape (2, 4) vs target shape (2, 3)"),
+        (lambda: scheme_for_target(np.zeros((2, 5)), np.zeros((2, 5)), info),
+         "(2, 5) utilities vs 4 emission columns"),
+    ]:
+        with pytest.raises(DimensionMismatch) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_left_inverse_on_full_rank_matrices():

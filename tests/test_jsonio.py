@@ -137,6 +137,8 @@ class TestWriter:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValidationError):
             dumps_canonical({"v": object()})
+        with pytest.raises(ValidationError, match="cannot serialize value of type complex"):
+            dumps_canonical(np.complex128(1j))
 
     def test_golden_bytes(self):
         ordered = OrderedMap()
@@ -579,6 +581,8 @@ class TestSchemeDocs:
             parse_scheme_doc({"alphabet": ["a", "b"], "lambda": [[1.0, 2.0], [1.0]]})
         with pytest.raises(ValidationError):
             parse_scheme_doc({"lambda": [[0.0]]})
+        with pytest.raises(ValidationError, match="alphabet must be a nonempty list of symbols"):
+            parse_scheme_doc({"alphabet": [], "lambda": [[1.0]]})
         for lam in ([[]], [["1"]], [[True]], [[math.nan]], [[math.inf]], [["inf"]],
                     [[10**400]], [[[1.0]]], [1.0], "x"):
             with pytest.raises(ValidationError):

@@ -84,6 +84,11 @@ def test_lp_to_game_preconditions():
         lp_to_game([[1.0, 1.0]], [1.0, 2.0], [1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         lp_to_game([[1.0, 1.0]], [1.0], [1.0])
+    for a, message in [([1.0, 2.0], "need a nonempty 2D inequality matrix, got shape (2,)"),
+                       ([[1.0, np.nan]], "inputs must be finite")]:
+        with pytest.raises(PreconditionViolated) as err:
+            lp_to_game(a, [1.0], [1.0, 1.0])
+        assert str(err.value) == message
 
 
 def test_rows_beyond_the_float_range_rejected():
@@ -107,6 +112,8 @@ def test_point_scheme_round_trip():
     np.testing.assert_array_equal(scheme.matrix[2, 1:], x)
     with pytest.raises(NegativeComponent):
         scheme_from_point(inst, [-0.5, 1.0])
+    with pytest.raises(DimensionMismatch, match="point must have length 2, got 3"):
+        scheme_from_point(inst, [1.0, 2.0, 3.0])
 
 
 def test_point_from_scheme_checks_pattern():
@@ -120,6 +127,8 @@ def test_point_from_scheme_checks_pattern():
     bad2[1, 0] = -2.0  # top column must stay clean
     with pytest.raises(PatternViolated):
         point_from_scheme(inst, PaymentScheme(bad2))
+    with pytest.raises(DimensionMismatch, match="scheme must be 3x3, got 3x4"):
+        point_from_scheme(inst, PaymentScheme(np.zeros((3, 4))))
 
 
 def test_feasibility_matches_security_at_zero_margin():

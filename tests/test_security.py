@@ -9,6 +9,7 @@ import pytest
 from paymech import (
     BadParameters,
     ConstraintRow,
+    DimensionMismatch,
     GameTree,
     InfoStructure,
     PaymentScheme,
@@ -22,6 +23,8 @@ from paymech import (
     check_profile,
     inducible_leaves,
     leaf,
+    run_episode,
+    synthesize,
     verify,
 )
 from paymech.security import SLACK_TOL
@@ -121,6 +124,22 @@ def test_verify_slack_tolerance_is_tight(commerce):
     report2 = verify(commerce.tree, commerce.info, commerce.scheme, commerce.profile,
                      SecurityParams(delta=100.001))
     assert not report2.passed
+
+
+def test_shape_faults_rejected(commerce):
+    system = build_constraints(commerce.tree, commerce.profile, SecurityParams(delta=1.0))
+    with pytest.raises(DimensionMismatch, match=r"expected a 2x4 matrix, got \(2, 3\)"):
+        system.dot(np.zeros((2, 3)))
+    # an info structure over 5 leaves on the 4-leaf tree: verify says what
+    # synthesize and the escrow say
+    wide = InfoStructure(commerce.info.alphabet, np.eye(3)[[0, 1, 2, 0, 0]].T)
+    params = SecurityParams(delta=1.0)
+    for call in (lambda: verify(commerce.tree, wide, commerce.scheme, commerce.profile, params),
+                 lambda: synthesize(commerce.tree, wide, commerce.profile, params),
+                 lambda: run_episode(commerce.tree, wide, commerce.scheme, commerce.profile, 0)):
+        with pytest.raises(DimensionMismatch) as err:
+            call()
+        assert str(err.value) == "info structure has 5 leaf columns, tree has 4"
 
 
 def test_block_rows_match_the_dense_matrix():
@@ -237,6 +256,25 @@ def test_row_order_and_metadata_match_the_per_subgame_walk():
     for moves in product("ab", "xy", "xy", "xy"):
         profile = dict(zip(("r", "b1", "b2", "b3"), moves))
         cases += [(hand, profile, 1), (hand, profile, 2)]
+    # a p = 1 chance node over a subgame whose play meets a second chance
+    # node: the two heads must share one outcome id, or rows repeat
+    nested = GameTree(("A", "B"), branch("r", 0, [
+        ("a", chance("c1", [
+            (0.0, leaf("z", (9.0, 9.0), (1.0,))),
+            (1.0, branch("b", 1, [
+                ("x", chance("c2", [
+                    (0.5, leaf("l1", (1.0, 2.0), (1.0,))),
+                    (0.5, branch("d", 0, [("u", leaf("l2", (3.0, 0.0), (1.0,))),
+                                          ("v", leaf("l3", (0.0, 5.0), (1.0,)))])),
+                ])),
+                ("y", leaf("l4", (4.0, 1.0), (1.0,))),
+            ])),
+        ])),
+        ("b", leaf("l5", (2.0, 2.0), (1.0,))),
+    ]))
+    for moves in product("ab", "xy", "uv"):
+        profile = dict(zip(("r", "b", "d"), moves))
+        cases += [(nested, profile, 1), (nested, profile, 2)]
     chain = _chain(1500)
     cases.append((chain, backward_induction(chain), 1))
     cases.append((chain, {f"b{d}": "stop" if d % 7 == 3 else "go" for d in range(1500)}, 1))
