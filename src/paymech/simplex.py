@@ -7,26 +7,33 @@ maximize h'.y subject to G'^T y = c, y >= 0, where G' stacks G, A and -A
 per primal variable however many inequality rows there are, which suits
 the synthesis programs: few free variables, many rows.  The start is a
 crash basis (Bixby 1992, "Implementing the simplex method: the initial
-basis"): a dual row with a positive unit column, which comes from a
-primal row that bounds that one variable, starts with that column basic,
-and phase one drives the artificials of the other rows to zero.  For the
-min-max synthesis program, solved over mu = D - lambda, only the deposit
-row is left to phase one.  No dual point means the primal is unbounded
-or infeasible, and an unbounded phase two means it is infeasible.  The
-primal point and both sets of multipliers are solved from the one final
-basis.  Pivoting uses Bland's rule, so the method terminates without
-cycling: the first column with a negative reduced cost enters, and among
-the rows that tie in the ratio test (within 1e-12 (1 + |r|) of the
-smallest ratio r) the one with the smallest basic column leaves.  Each
-step is a few array operations: one scan of the reduced costs, one
-division for the ratios of the eligible rows and one rank-1 update of
-the rows the pivot column touches.  This is meant for the dense systems
-produced elsewhere in the package, not for large-scale work.
+basis"): a dual row with a unit column whose one entry exceeds
+PIVOT_ELIGIBLE, which comes from a primal row that bounds that one
+variable, starts with that column basic, and phase one drives the
+artificials of the other rows to zero.  For the min-max synthesis
+program, solved over mu = D - lambda, only the deposit row is left to
+phase one.  An unbounded phase two means the primal is infeasible.  No
+dual point means it is unbounded or infeasible; then the right-hand side
+is set to zero, which makes the phase-one basis a vertex of the dual of
+the c = 0 program, and the same steps go on from it: an unbounded phase
+two is a Farkas ray (infeasible), and otherwise the final basis gives a
+primal point, which the recheck certifies (unbounded).  The primal point
+and both sets of multipliers are solved from the one final basis, which
+must give finite values.  Pivoting uses Bland's rule, so the method
+terminates without cycling: the first column with a negative reduced
+cost enters, and among the rows that tie in the ratio test (within
+1e-12 (1 + |r|) of the smallest ratio r) the one with the smallest basic
+column leaves.  Each step is a few array operations: one scan of the
+reduced costs, one division for the ratios of the eligible rows and one
+rank-1 update of the rows the pivot column touches.  This is meant for
+the dense systems produced elsewhere in the package, not for large-scale
+work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,14 +119,14 @@ def _pivot(tableau, row, col):
     tableau[rows] -= factor[rows, None] * tableau[row]
 
 
-def _run(tableau, basis, max_iter):
+def _run(tableau, basis):
     """Iterate to optimality with Bland's rule.
 
     The last tableau row holds reduced costs, the last column the rhs;
     every other column may enter.  Returns "optimal" or "unbounded".
     """
     nrows = tableau.shape[0] - 1
-    for _ in range(max_iter):
+    for _ in range(2000 + 200 * (2 * nrows + tableau.shape[1] - 1)):
         negative = np.flatnonzero(tableau[-1, :-1] < -OPT_TOL)
         if not negative.size:
             return "optimal"
@@ -148,9 +155,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
     m = a.shape[1]
     b0 = lp.c * signs
 
-    # crash basis: a row with a positive unit column (a primal row that
-    # bounds that one variable) starts with the first such column basic,
-    # at b0[r] / a[r, j] >= 0, and every other row with its artificial;
+    # crash basis: a row with a unit column whose entry the ratio test
+    # could pivot on (> PIVOT_ELIGIBLE; a primal row that bounds that one
+    # variable) starts with the first such column basic, at
+    # b0[r] / a[r, j] >= 0, and every other row with its artificial;
     # artificials never enter, so the tableau holds only the real columns,
     # and basis entry m + r is row r's artificial, a unit column
     tableau = np.zeros((d + 1, m + 1))
@@ -160,20 +168,18 @@ def solve(lp: LinearProgram) -> LpOutcome:
     nonzero = tableau[:, :-1] != 0  # the zero cost row keeps argmax defined at d = 0
     row_of = nonzero.argmax(axis=0)  # each column's first nonzero row
     unit = np.flatnonzero((np.count_nonzero(nonzero, axis=0) == 1)
-                          & (tableau[row_of, np.arange(m)] > 0))
+                          & (tableau[row_of, np.arange(m)] > PIVOT_ELIGIBLE))
     rows, first = np.unique(row_of[unit], return_index=True)
     basis[rows] = unit[first]
     tableau[rows] /= tableau[rows, basis[rows], None]
     # canonical phase-one objective: minimize the total of the artificials
     tableau[-1, :] = -tableau[:d][basis >= m].sum(axis=0)
-    max_iter = 2000 + 200 * (d + m + d)
-    _run(tableau, basis, max_iter)
+    _run(tableau, basis)
 
-    if -tableau[-1, -1] > FEAS_TOL * (1.0 + np.abs(b0).max(initial=0.0)):
-        # no dual point: the primal is unbounded or infeasible, and with
-        # c = 0 the dual is feasible (y = 0), so that program tells which
-        feasible = solve(replace(lp, c=np.zeros(d))).is_optimal
-        return LpOutcome("unbounded" if feasible else "infeasible")
+    # no dual point: go on with the c = 0 program, from this basis at a zero rhs
+    no_dual = -tableau[-1, -1] > FEAS_TOL * (1.0 + np.abs(b0).max(initial=0.0))
+    if no_dual:
+        tableau[:d, -1] = b0 = np.zeros(d)
 
     # an artificial left basic sits at zero; pivot it out where a real
     # column can take its row, else its row is zero in every real column
@@ -190,7 +196,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     for r, b in enumerate(basis):
         if cost[b] != 0.0:
             tableau[-1, :] -= cost[b] * tableau[r, :]
-    if _run(tableau, basis, max_iter) == "unbounded":
+    if _run(tableau, basis) == "unbounded":
         return LpOutcome("infeasible")  # an unbounded dual ray
 
     # y and x from the final basis itself: tableau reads carry pivot drift
@@ -204,10 +210,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
     except np.linalg.LinAlgError:
         raise NumericalBreakdown("final basis is singular") from None
     value = float(lp.c @ x)
+    if not (math.isfinite(value) and np.isfinite(x).all()):
+        raise NumericalBreakdown("the basis gives a point that is not finite")
 
     recheck = 1e-7 * (1.0 + np.abs(h_all).max(initial=0.0))
     if p and np.any(lp.g @ x - lp.h < -recheck):
         raise NumericalBreakdown("optimal basis violates an inequality on recheck")
     if q and np.any(np.abs(lp.a_eq @ x - lp.b_eq) > recheck):
         raise NumericalBreakdown("optimal basis violates an equality on recheck")
+    if no_dual:
+        return LpOutcome("unbounded")
     return LpOutcome("optimal", x, value, y[:p], y[p : p + q] - y[p + q : m])

@@ -403,6 +403,16 @@ def test_subnormal_pvc_eps_exits_3():
         assert err == "numerical failure: emission matrix is singular at eps=1e-320\n"
 
 
+def test_lp_answer_that_overflows_exits_3():
+    # a valid game whose margin puts the synthesis program's answer past
+    # the largest float
+    code, game, _ = run(["gen", "commerce", "--x", "100", "--xprime", "50", "--eps", "0.1"])
+    assert code == 0
+    code, out, err = run(["synth", "-", "--delta", "1e308"], game)
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: the basis gives a point that is not finite\n"
+
+
 def test_numpy_warnings_stay_off_stderr():
     # a warning is printed by the interpreter, not written to dispatch's
     # stderr argument, so only a separate process shows it

@@ -383,9 +383,7 @@ def test_deep_chain_analyses_match_plain_loops():
 
 def test_tree_modules_never_recurse():
     # deep chains rely on every tree walk being a loop: no function in the
-    # package may call itself, directly or as a method of self or cls.  The
-    # one bounded self-call: `simplex.solve` re-solves once with c = 0,
-    # which always has a dual point, to tell infeasible from unbounded
+    # package may call itself, directly or as a method of self or cls
     def calls_itself(fn):
         for call in ast.walk(fn):
             if not isinstance(call, ast.Call):
@@ -408,7 +406,7 @@ def test_tree_modules_never_recurse():
                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
         assert functions, module.__name__
         recursive += [f"{module.__name__}.{f.name}" for f in functions if calls_itself(f)]
-    assert recursive == ["paymech.simplex.solve"]
+    assert recursive == []
 
 
 def test_only_game_core_names_node_classes():

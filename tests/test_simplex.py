@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from paymech import LinearProgram, ValidationError, simplex, solve
+from paymech import LinearProgram, NumericalBreakdown, ValidationError, simplex, solve
 
 from .helpers import lp_oracle, random_lp
 
@@ -106,6 +106,21 @@ def test_rows_that_bound_one_variable_start_basic(monkeypatch, second_row, phase
     assert out.is_optimal
     np.testing.assert_allclose(out.x, [0.0, 5.0], atol=1e-9)
     np.testing.assert_allclose(lp.g.T @ out.dual_ineq, lp.c, atol=1e-9)
+
+
+def test_crash_skips_a_unit_column_below_pivot_eligibility():
+    # 2**-52 x >= 0.5 can only be met through an entry the ratio test
+    # treats as zero, so the crash may not start from it either
+    out = solve(LinearProgram(c=[1.0], g=[[2.0**-52], [1.0]], h=[0.5, 0.0]))
+    assert out.status == "infeasible"
+    assert out.x is None
+
+
+def test_point_that_overflows_is_a_breakdown():
+    # x >= 3.4e308 has no finite answer; the basis gives x = inf
+    lp = LinearProgram(c=[1.0], g=[[0.5], [2.0]], h=[1.7e308, 1.0])
+    with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown, match="not finite"):
+        solve(lp)
 
 
 def test_no_variables():

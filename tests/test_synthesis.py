@@ -19,7 +19,10 @@ from paymech import (
     PvcParams,
     SecurityParams,
     SynthesisOptions,
+    PaymentScheme,
+    Unbounded,
     branch,
+    chance,
     build_commerce,
     build_pvc,
     honest_outcome,
@@ -34,7 +37,7 @@ from paymech import (
 from paymech import security, simplex, synthesis
 from paymech.synthesis import HONEST_EXPECTED, OBJ_MINMAX, OBJ_WEIGHTED
 
-from .helpers import nested, random_instance, solvable_instance
+from .helpers import nested, random_instance, random_profile, random_tree, solvable_instance
 
 
 def greedy_two_leaf():
@@ -127,6 +130,53 @@ def test_unsecurable_profile_is_infeasible():
     with pytest.raises(Infeasible):
         synthesize(tree, info, profile, SecurityParams(delta=0.0))
     assert minmax_deposit(tree, info, profile) == math.inf
+
+
+@pytest.mark.parametrize("objective, cost", [(OBJ_MINMAX, None), (OBJ_WEIGHTED, [[1.0]]),
+                                            (OBJ_WEIGHTED, [[-1.0]])])
+def test_one_symbol_gamble_is_infeasible_under_every_objective(objective, cost):
+    # the owner prefers the safe leaf, and a mechanism that sees one symbol
+    # pays the same on every leaf; the lifted security row is rounding
+    # residue (about 2**-52), which no crash column or pivot may use
+    tree = GameTree(("A",), branch("r", 0, [
+        ("gamble", chance("c", [(0.7, leaf("l0", (0.0,), (1.0,))),
+                                (0.2, leaf("l1", (0.0,), (1.0,))),
+                                (0.1, leaf("l2", (0.0,), (1.0,)))])),
+        ("safe", leaf("s", (1.0,), (1.0,))),
+    ]))
+    info = InfoStructure.from_tree(tree, ("x",))
+    with pytest.raises(Infeasible):
+        synthesize(tree, info, {"r": "gamble"}, SecurityParams(delta=0.0), cost=cost,
+                   opts=SynthesisOptions(objective=objective))
+
+
+def test_one_symbol_payments_implement_nothing():
+    # a mechanism that sees one symbol infers nothing, so by the paper's
+    # characterisation its payments change no incentive: every objective's
+    # verdict is the zero scheme's
+    rng = np.random.default_rng(1)
+    weighted = SynthesisOptions(objective=OBJ_WEIGHTED)
+    for draw in range(300):
+        n = int(rng.integers(1, 4))
+        tree = random_tree(rng, n, 1, 14)
+        info = InfoStructure.from_tree(tree, ("x",))
+        profile = random_profile(rng, tree)
+        params = SecurityParams(delta=float(rng.choice([0.0, 0.5])))
+        zero = PaymentScheme(np.zeros((n, 1)))
+        secure = verify(tree, info, zero, profile, params).passed
+        if secure:
+            scheme = synthesize(tree, info, profile, params)
+            np.testing.assert_allclose(scheme.matrix, 0.0, atol=1e-9, err_msg=f"draw {draw}")
+            scheme = synthesize(tree, info, profile, params, cost=np.ones((n, 1)), opts=weighted)
+            assert scheme.matrix.sum() == pytest.approx(0.0, abs=1e-9), draw
+            assert verify(tree, info, scheme, profile, params).passed, draw
+            with pytest.raises(Unbounded):
+                synthesize(tree, info, profile, params, cost=-np.ones((n, 1)), opts=weighted)
+        else:
+            for cost, opts in ((None, None), (np.ones((n, 1)), weighted),
+                               (-np.ones((n, 1)), weighted)):
+                with pytest.raises(Infeasible):
+                    synthesize(tree, info, profile, params, cost=cost, opts=opts)
 
 
 def test_minmax_deposit_zero_for_already_secure_profile():
