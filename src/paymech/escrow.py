@@ -123,6 +123,8 @@ def monte_carlo(
     order from one `default_rng(seed)`; trial 0 is `run_episode(seed)`."""
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise BadParameters(f"trials must be an integer >= 1, got {trials!r}")
+    if trials > np.iinfo(np.intp).max // 8:  # one float64 per trial must be addressable
+        raise BadParameters(f"trials must be at most {np.iinfo(np.intp).max // 8}, got {trials}")
     _check_instance(tree, info, scheme, seed)
     chosen = check_profile(tree, profile)
 

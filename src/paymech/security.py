@@ -1,27 +1,26 @@
 """Coalition deviation constraints and scheme verification.
 
 The target property: for every subgame, every coalition C of at most t
-players, every leaf that C can force (others on-profile) outside the
-support of the on-profile continuation, and every member i of C, the
-member's expected on-profile utility beats the leaf by at least delta.
-Each requirement is one row on member i's row of E = U - Lambda @ Phi:
-the subgame's honest outcome (support leaves and weights) against one
-deviation leaf, with right-hand side delta, stored as (player, outcome
-id, leaf) over one flat (outcome id, leaf, weight) table.  No two rows
-share (player, outcome, leaf): no two emitting subgames (below) share an
-outcome.  Rows go by subgame in preorder, coalition size, coalition in
-combinations order, member, leaf.
+players, every leaf that C can force (others on-profile) only by leaving
+the profile, and every member i of C, the member's expected on-profile
+utility beats the leaf by at least delta.  Each requirement is one row
+on member i's row of E = U - Lambda @ Phi: the subgame's honest outcome
+(support leaves and weights) against one deviation leaf, with right-hand
+side delta, stored as (player, outcome id, leaf) over one flat (outcome
+id, leaf, weight) table.  No two rows share (player, outcome, leaf): no
+two emitting subgames (below) share an outcome.  Rows go by subgame in
+preorder, coalition size, coalition in combinations order, member, leaf.
 
 `build_constraints` works on arrays over the compiled preorder.  Only a
 subgame whose honest outcome differs from its parent's emits rows: any
 other one is followed on-profile by its parent, so its rows repeat the
 parent's.  C reaches leaf j from v exactly when the path from v to j
 has no zero-probability chance edge and C holds its deviators S, the
-owners of the unchosen edges on it.  So member i gets a row exactly when
-|S + {i}| <= t, first from S + {i}, the smallest coalition that holds i
-and reaches j.  Pointer jumping (`_settle`) finds the deepest such edge
-over every leaf, per player and for chance, so the work follows the
-leaves, players and rows, not the C(n, <= t) coalitions.
+owners of the unchosen edges on it.  So a row needs 1 <= |S|, and member
+i gets one exactly when |S + {i}| <= t, first from S + {i}, the smallest
+coalition that holds i and reaches j.  Pointer jumping (`_settle`) finds
+the deepest such edge over every leaf, per player and for chance, so the
+work follows the leaves, players and rows, not the C(n, <= t) coalitions.
 """
 
 from __future__ import annotations
@@ -73,11 +72,12 @@ class ConstraintSystem:
     Row r pairs the honest outcome `outcome[r]` of its subgame with the
     deviation leaf `leaf[r]`.  Outcome k puts weight `support_weight[e]`
     on leaf `support_leaf[e]` for each table entry e with
-    `support_outcome[e] == k`, entries grouped by outcome in leaf order.
-    Row r came from the subgame at preorder position `subgame[r]` of
-    `tree` and from coalition `coalitions[coalition[r]]`; `rows` and
-    `check` build `ConstraintRow`s from these only when read.  Callers
-    use `dot`, `lift` or the dense view `a`, not this layout."""
+    `support_outcome[e] == k`, entries grouped by outcome in leaf order;
+    outcome k < m is leaf k, and the chance heads' outcomes follow.  Row r
+    came from the subgame at preorder position `subgame[r]` of `tree` and
+    from coalition `coalitions[coalition[r]]`; `rows` and `check` build
+    `ConstraintRow`s from these only when read.  Callers use `dot`, `lift`
+    or the dense view `a`, not this layout."""
 
     player: np.ndarray  # (alpha,) ints
     outcome: np.ndarray  # (alpha,) ints
@@ -121,7 +121,7 @@ class ConstraintSystem:
     @property
     def a(self) -> np.ndarray:
         """The rows as a dense (alpha, n*m) matrix over vec(E), row-major."""
-        per_outcome = np.zeros((self.outcome.max(initial=-1) + 1, self.m))
+        per_outcome = np.zeros((self.support_outcome[-1] + 1, self.m))
         per_outcome[self.support_outcome, self.support_leaf] = self.support_weight
         coef = per_outcome[self.outcome]
         coef[np.arange(self.alpha), self.leaf] = -1.0
@@ -138,7 +138,7 @@ class ConstraintSystem:
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
         """(alpha, k): each row's honest outcome of y (k, m) minus y at its leaf."""
-        honest = np.zeros((self.outcome.max(initial=-1) + 1, y.shape[0]))
+        honest = np.zeros((self.support_outcome[-1] + 1, y.shape[0]))
         weighted = self.support_weight[:, None] * y.T[self.support_leaf]
         np.add.at(honest, self.support_outcome, weighted)
         return honest[self.outcome] - y.T[self.leaf]
@@ -234,9 +234,8 @@ def build_constraints(
             sid[v] = ids.setdefault(key, m + len(ids))
         zero[[c for q, c in zip(tree.labels[v], tree.kids[v]) if not q > 0]] = True
     sid = sid[_settle(np.where(choice >= 0, choice, node))]
-    # the support of outcome k is entries sup_start[k] .. + sup_len[k]
+    # the support of outcome k is the next sup_len[k] entries
     sup_len = np.array([1] * m + [len(leaves) for leaves, _ in ids], dtype=np.intp)
-    sup_start = np.cumsum(sup_len) - sup_len
     sup_leaf = np.array([*range(m), *(j for leaves, _ in ids for j in leaves)], dtype=np.intp)
     sup_weight = np.array([*[1.0] * m, *(p for _, weights in ids for p in weights)])
 
@@ -254,18 +253,14 @@ def build_constraints(
     blocked[owner[parent], node] = zero | ((choice[parent] >= 0) & (choice[parent] != node))
     top = np.array([_settle(np.where(row, node, parent)) for row in blocked])[:, is_leaf]
 
-    # Candidates (v, j) by subgame, then leaf: j outside v's support, top[n, j]
-    # not below v, and at most t deviators o (top[o, j] below v).
+    # Candidates (v, j) by subgame, then leaf: top[n, j] not below v, and 1 to
+    # t deviators o (top[o, j] below v); a leaf with none is on v's play.
     width = hi[sub] - lo[sub]
     seg = np.repeat(np.arange(len(sub)), width)
-    start = np.cumsum(width) - width
     leaf = _ranges(lo[sub], width)
     below = top[:, leaf] > sub[seg]
-    live = ~below[n] & (below[:n].sum(axis=0) <= params.t)
-    entries = _ranges(sup_start[sub_sid], sup_len[sub_sid])
-    at = np.repeat(np.arange(len(sub)), sup_len[sub_sid])
-    live[start[at] + sup_leaf[entries] - lo[sub][at]] = False
-    live = np.flatnonzero(live)
+    count = below[:n].sum(axis=0)
+    live = np.flatnonzero(~below[n] & (count >= 1) & (count <= params.t))
     seg, leaf = seg[live], leaf[live]
     # Group them by deviators S (bits, player 0 first), rank the coalitions
     # S + {i} by (size, inverted bits), order rows by (subgame, slot, leaf).
@@ -292,14 +287,9 @@ def build_constraints(
     members = np.unpackbits(joined[:, ranked], axis=0, count=n)
     coalitions = tuple(tuple(np.flatnonzero(c).tolist()) for c in members.T)
 
-    # outcome ids in the order of the subgames that have rows, in preorder
-    has = np.bincount(seg, minlength=len(sub)) > 0
-    used = sub_sid[has]
-    entries = _ranges(sup_start[used], sup_len[used])
     rhs = np.full(len(player), float(params.delta))
-    arrays = (player, (np.cumsum(has) - 1)[seg], leaf,
-              np.repeat(np.arange(len(used)), sup_len[used]), sup_leaf[entries],
-              sup_weight[entries], rhs, sub[seg], coalition)
+    arrays = (player, sub_sid[seg], leaf, np.repeat(np.arange(len(sup_len)), sup_len),
+              sup_leaf, sup_weight, rhs, sub[seg], coalition)
     for arr in arrays:
         arr.setflags(write=False)
     return ConstraintSystem(*arrays, coalitions, tree, n, m)

@@ -19,15 +19,16 @@ the c = 0 program, and the same steps go on from it: an unbounded phase
 two is a Farkas ray (infeasible), and otherwise the final basis gives a
 primal point, which the recheck certifies (unbounded).  The primal point
 and both sets of multipliers are solved from the one final basis, which
-must give finite values.  Pivoting uses Bland's rule, so the method
-terminates without cycling: the first column with a negative reduced
-cost enters, and among the rows that tie in the ratio test (within
-1e-12 (1 + |r|) of the smallest ratio r) the one with the smallest basic
-column leaves.  Each step is a few array operations: one scan of the
-reduced costs, one division for the ratios of the eligible rows and one
-rank-1 update of the rows the pivot column touches.  This is meant for
-the dense systems produced elsewhere in the package, not for large-scale
-work.
+must give finite values, and overflow on the way (a smallest ratio that
+is not finite, or a NaN reduced cost) is a NumericalBreakdown too.
+Pivoting uses Bland's rule, so the method terminates without cycling:
+the first column with a negative reduced cost enters, and among the rows
+that tie in the ratio test (within 1e-12 (1 + |r|) of the smallest ratio
+r) the one with the smallest basic column leaves.  Each step is a few
+array operations: one scan of the reduced costs, one division for the
+ratios of the eligible rows and one rank-1 update of the rows the pivot
+column touches.  This is meant for the dense systems produced elsewhere
+in the package, not for large-scale work.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class LpOutcome:
 def _pivot(tableau, row, col):
     piv = tableau[row, col]
     if abs(piv) < PIVOT_BREAKDOWN:
-        raise NumericalBreakdown(f"pivot element {piv!r} below breakdown threshold")
+        raise NumericalBreakdown(f"pivot element {float(piv)!r} below breakdown threshold")
     tableau[row] /= piv
     # one rank-1 update of the rows with a nonzero factor in the column
     factor = tableau[:, col].copy()
@@ -129,6 +130,9 @@ def _run(tableau, basis):
     for _ in range(2000 + 200 * (2 * nrows + tableau.shape[1] - 1)):
         negative = np.flatnonzero(tableau[-1, :-1] < -OPT_TOL)
         if not negative.size:
+            # a NaN reads as no negative: the multipliers overflowed
+            if np.isnan(tableau[-1, :-1]).any():
+                raise NumericalBreakdown("the basis gives a point that is not finite")
             return "optimal"
         enter = negative[0]
         col = tableau[:nrows, enter]
@@ -137,6 +141,8 @@ def _run(tableau, basis):
             return "unbounded"
         ratios = tableau[eligible, -1] / col[eligible]
         best = ratios.min()
+        if not math.isfinite(best):
+            raise NumericalBreakdown("the ratio test's smallest ratio is not finite")
         ties = eligible[ratios <= best + 1e-12 * (1.0 + abs(best))]
         leave = ties[basis[ties].argmin()]
         _pivot(tableau, leave, enter)
@@ -144,6 +150,7 @@ def _run(tableau, basis):
     raise NumericalBreakdown("simplex iteration limit exceeded")
 
 
+@np.errstate(all="ignore")  # overflow ends in a non-finite check, not a warning
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve the program; outcome status is one of optimal, infeasible, unbounded."""
     d, p, q = lp.num_vars, lp.g.shape[0], lp.a_eq.shape[0]

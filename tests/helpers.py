@@ -220,8 +220,9 @@ def oracle_rows(tree, profile, delta, t):
     rows = set()
     for root_id in tree.ids:
         w, _ = honest_outcome(tree, root_id, profile)
-        support = [j for j in range(m) if w[j] > 0]
-        support_set = set(support)
+        # every leaf on-profile play reaches, even at a weight that
+        # underflows to 0.0
+        support = _reached(tree, root_id, {}, profile)
         for size in range(1, t + 1):
             for coalition in combinations(range(n), size):
                 owned = [b for b in _subtree_branches(tree, root_id)
@@ -232,7 +233,7 @@ def oracle_rows(tree, profile, delta, t):
                     induced |= _reached(tree, root_id, moves, profile)
                 for i in coalition:
                     base = i * m
-                    for j in sorted(induced - support_set):
+                    for j in sorted(induced - support):
                         vec = np.zeros(n * m)
                         for a in support:
                             vec[base + a] += w[a]

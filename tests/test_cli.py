@@ -413,6 +413,34 @@ def test_lp_answer_that_overflows_exits_3():
     assert err == "numerical failure: the basis gives a point that is not finite\n"
 
 
+# valid: finite utilities near 1e303 and costs near 1e305; the dual of
+# the cost program overflows in the ratio test
+OVERFLOWING_COSTS = (
+    '{"alphabet":["s0","s1"],"costs":[[-3.15472152332e+305,3.20616644015e+305],'
+    '[1.05814472379e+305,1.05879324248e+305],[-1.27388635585e+305,-3.52237729851e+305]],'
+    '"intended":{"B3":"m1","root":"m1"},"players":["P1","P2","P3"],'
+    '"tree":{"branch":{"children":{"m0":{"chance":'
+    '{"children":[{"node":{"leaf":{"emission":[0.948237495186,'
+    '0.0517625048137],"id":"L2","utilities":[-1.56474330346e+303,-1.56474330346e+303,'
+    '-6.25897321384e+302]}},"p":0.488591886882},'
+    '{"node":{"branch":{"children":{"m0":{"leaf":{"emission":[0,1],"id":"L4",'
+    '"utilities":[1.56474330346e+303,0,1.25179464277e+303]}},'
+    '"m1":{"leaf":{"emission":[0.046535656579,0.953464343421],"id":"L5",'
+    '"utilities":[-6.25897321384e+302,-1.56474330346e+303,-1.25179464277e+303]}}},"id":"B3",'
+    '"owner":2}},"p":0.501710451531},{"node":{"leaf":{"emission":[1,0],"id":"L6",'
+    '"utilities":[1.56474330346e+303,1.56474330346e+303,-1.56474330346e+303]}},'
+    '"p":0.00969766158715}],"id":"C1"}},"m1":{"leaf":{"emission":[0.0476160949018,'
+    '0.952383905098],"id":"L7","utilities":[1.25179464277e+303,-6.25897321384e+302,'
+    '6.25897321384e+302]}}},"id":"root","owner":0}}}'
+)
+
+
+def test_cost_objective_that_overflows_exits_3():
+    code, out, err = run(["synth", "-", "--delta", "1", "--objective", "cost"], OVERFLOWING_COSTS)
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: the ratio test's smallest ratio is not finite\n"
+
+
 def test_numpy_warnings_stay_off_stderr():
     # a warning is printed by the interpreter, not written to dispatch's
     # stderr argument, so only a separate process shows it
@@ -682,6 +710,9 @@ def _fault_cases():
                        ("TARGET", FAULT_COMMANDS["implement"]), ("PROFILE", SIMULATE_PROFILE)):
         cases.append(pytest.param(argv, {name: NOT_UTF8}, id=f"{name} not UTF-8"))
     cases.append(pytest.param(FAULT_COMMANDS["simulate"] + ["--seed", "-1"], {}, id="--seed -1"))
+    # beyond numpy's array limit
+    cases.append(pytest.param(FAULT_COMMANDS["simulate"][:-1] + [str(10**20)], {},
+                              id="--trials 10**20"))
     for flag, value in LP_FAULTS:
         argv = list(FROM_LP)
         argv[argv.index(flag) + 1] = value

@@ -123,6 +123,11 @@ def test_trial_count_validation(commerce_inst):
     for trials in (0, -3, 2.5, 3.0, "3", True, None):
         with pytest.raises(BadParameters, match="trials must be an integer >= 1"):
             monte_carlo(inst.tree, inst.info, inst.scheme, inst.profile, trials=trials, seed=0)
+    # beyond numpy's array limit, before any allocation
+    limit = np.iinfo(np.intp).max // 8
+    for trials in (2**60, 10**20):
+        with pytest.raises(BadParameters, match=f"^trials must be at most {limit}, got {trials}$"):
+            monte_carlo(inst.tree, inst.info, inst.scheme, inst.profile, trials=trials, seed=0)
     assert monte_carlo(inst.tree, inst.info, inst.scheme, inst.profile,
                        trials=np.int64(3), seed=0).trials == 3
 

@@ -76,6 +76,22 @@ def test_payment_scheme_basics():
         PaymentScheme(np.zeros((0, 3)))
 
 
+def test_equality_and_hash_follow_the_data():
+    phi = [[1.0, 0.25], [0.0, 0.75]]
+    info = InfoStructure(("a", "b"), phi)
+    same = InfoStructure(("a", "b"), np.array(phi))
+    assert info == same and hash(info) == hash(same) and len({info, same}) == 1
+    assert info != InfoStructure(("a", "c"), phi)
+    assert info != InfoStructure(("a", "b"), [[1.0, 0.5], [0.0, 0.5]])
+    scheme = PaymentScheme([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    twin = PaymentScheme(np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]]))
+    assert scheme == twin and hash(scheme) == hash(twin) and len({scheme, twin}) == 1
+    assert scheme != PaymentScheme([[1.0, -2.0, 0.5], [0.0, 3.0, -1.5]])
+    # another type is not equal, whatever its data
+    assert info != scheme and scheme != info and info != "ab" and scheme != 1.0
+    assert info.__eq__(phi) is NotImplemented and scheme.__eq__(scheme.matrix) is NotImplemented
+
+
 def test_implemented_utilities_hand_example():
     info = InfoStructure(("a", "b"), [[1.0, 0.25], [0.0, 0.75]])
     scheme = PaymentScheme([[2.0, -4.0]])

@@ -1,5 +1,7 @@
 """Constraint generation, verification, and the block form of the rows."""
 
+import io
+import json
 import tracemalloc
 from itertools import combinations, product
 
@@ -23,10 +25,12 @@ from paymech import (
     check_profile,
     inducible_leaves,
     leaf,
+    parse_game_doc,
     run_episode,
     synthesize,
     verify,
 )
+from paymech.cli import dispatch
 from paymech.security import SLACK_TOL
 
 from .helpers import oracle_rows, random_instance, system_rows
@@ -83,6 +87,52 @@ def test_rows_match_bruteforce_enumeration():
         tree, info, profile = random_instance(rng, n_players=n)
         system = build_constraints(tree, profile, SecurityParams(delta=0.5, t=t))
         assert system_rows(system) == oracle_rows(tree, profile, 0.5, t)
+
+
+# Leaf B's on-profile weight 1e-200 * 1e-200 underflows to 0.0, but play
+# reaches it without leaving the profile, so it is no deviation: the rows
+# are player 0's move to D, for player 0 and, at t = 2, for player 1.
+UNDERFLOW = {
+    "players": ["P", "Q"], "alphabet": ["x", "y"], "intended": {"r": "go"},
+    "tree": {"branch": {"id": "r", "owner": 0, "children": {
+        "go": {"chance": {"id": "c1", "children": [
+            {"p": 1e-200, "node": {"chance": {"id": "c2", "children": [
+                {"p": 1e-200, "node": {"leaf": {"id": "B", "utilities": [5, 0],
+                                                "emission": [1, 0]}}},
+                {"p": 1, "node": {"leaf": {"id": "C", "utilities": [1, 0],
+                                           "emission": [1, 0]}}},
+            ]}}},
+            {"p": 1, "node": {"leaf": {"id": "A", "utilities": [1, 0], "emission": [1, 0]}}},
+        ]}},
+        "out": {"leaf": {"id": "D", "utilities": [0, 0], "emission": [0, 1]}},
+    }}},
+}
+
+
+def test_a_leaf_on_the_play_is_no_deviation_even_at_zero_weight(tmp_path):
+    game = parse_game_doc(UNDERFLOW)
+    expected = {1: [("r", (0,), 0, 3)], 2: [("r", (0,), 0, 3), ("r", (0, 1), 1, 3)]}
+    game_path, scheme_path = tmp_path / "game.json", tmp_path / "scheme.json"
+    game_path.write_text(json.dumps(UNDERFLOW))
+
+    def run(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        code = dispatch([str(a) for a in argv], stdout=out, stderr=err)
+        return code, out.getvalue(), err.getvalue()
+
+    for t, rows in expected.items():
+        system = build_constraints(game.tree, game.profile, SecurityParams(delta=1.0, t=t))
+        assert list(system.rows) == [ConstraintRow(*row) for row in rows]
+        assert system_rows(system) == oracle_rows(game.tree, game.profile, 1.0, t)
+        code, _, err = run("synth", game_path, "--delta", 1, "--t", t, "-o", scheme_path)
+        assert (code, err) == (0, "")
+        if t == 1:
+            assert json.loads(scheme_path.read_text())["lambda"] == [[0, 0], [0, 0]]
+        code, out, err = run("verify", game_path, scheme_path, "--delta", 1, "--t", t)
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert report["passed"] and report["num_constraints"] == len(rows)
+        assert report["min_slack"] == 0
 
 
 def test_rows_are_deduplicated():

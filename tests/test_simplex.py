@@ -117,9 +117,65 @@ def test_crash_skips_a_unit_column_below_pivot_eligibility():
 
 
 def test_point_that_overflows_is_a_breakdown():
-    # x >= 3.4e308 has no finite answer; the basis gives x = inf
+    # x >= 3.4e308 has no finite answer; the basis gives x = inf, and the
+    # overflow on the way warns nothing (warnings fail this suite)
     lp = LinearProgram(c=[1.0], g=[[0.5], [2.0]], h=[1.7e308, 1.0])
-    with np.errstate(all="ignore"), pytest.raises(NumericalBreakdown, match="not finite"):
+    with pytest.raises(NumericalBreakdown, match="not finite"):
+        solve(lp)
+
+
+def test_ratio_that_overflows_is_a_breakdown():
+    # the ratio test divides entries near 1e307 and its smallest ratio is NaN
+    lp = LinearProgram(
+        c=[1.494404595315464e+307, -3.378350963321539e+307],
+        g=[[-1.1043785735517961, -1.6007651310955389], [-1.0247151557952092, 1.3261113164083644],
+           [0.05468083372313392, -0.15310918266332071], [1.5228220142819795, -1.1320744755088694]],
+        h=[2.9649889481639886e+301, -9.217616885598258e+300, 7.505611929261872e+300,
+           3.566955049417158e+299])
+    with pytest.raises(NumericalBreakdown, match="^the ratio test's smallest ratio is not finite$"):
+        solve(lp)
+
+
+def test_nan_reduced_cost_is_a_breakdown():
+    # no reduced cost reads as negative, yet the run is not optimal
+    tableau = np.array([[1.0, 0.0, 1.0], [0.0, np.nan, 0.0]])
+    with pytest.raises(NumericalBreakdown, match="^the basis gives a point that is not finite$"):
+        simplex._run(tableau, np.array([0]))
+
+
+def test_pivot_below_the_breakdown_threshold():
+    # the ratio test only offers entries above PIVOT_ELIGIBLE, so only a
+    # direct call meets this guard
+    with pytest.raises(NumericalBreakdown, match="^pivot element 1e-13 below breakdown threshold$"):
+        simplex._pivot(np.array([[1e-13, 1.0], [1.0, 0.0]]), 0, 0)
+
+
+def test_iteration_limit(monkeypatch):
+    # a pivot that changes nothing keeps the same column entering
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: None)
+    lp = LinearProgram(c=[1.0, 2.0], g=[[1.0, 1.0], [1.0, -1.0]], h=[2.0, 0.0])
+    with pytest.raises(NumericalBreakdown, match="^simplex iteration limit exceeded$"):
+        solve(lp)
+
+
+def test_singular_final_basis(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalBreakdown, match="^final basis is singular$"):
+        solve(LinearProgram(c=[1.0, 1.0], g=[[1.0, 0.0], [0.0, 1.0]], h=[1.0, 2.0]))
+
+
+@pytest.mark.parametrize("lp, kind", [
+    # the crash basis makes x >= 0 tight, so x = 0 breaks x >= 5
+    (LinearProgram(c=[1.0], g=[[1.0], [1.0]], h=[0.0, 5.0]), "an inequality"),
+    # and x = 5 breaks x = 6
+    (LinearProgram(c=[1.0], a_eq=[[1.0], [1.0]], b_eq=[5.0, 6.0]), "an equality"),
+])
+def test_recheck_rejects_a_basis_that_stopped_early(monkeypatch, lp, kind):
+    monkeypatch.setattr(simplex, "_run", lambda *args: "optimal")
+    with pytest.raises(NumericalBreakdown, match=f"^optimal basis violates {kind} on recheck$"):
         solve(lp)
 
 

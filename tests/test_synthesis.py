@@ -1,6 +1,7 @@
 """Scheme synthesis: objectives, side constraints, and failure modes."""
 
 import importlib.util
+import io
 import json
 import math
 import pathlib
@@ -16,6 +17,7 @@ from paymech import (
     GameTree,
     Infeasible,
     InfoStructure,
+    NumericalBreakdown,
     PvcParams,
     SecurityParams,
     SynthesisOptions,
@@ -34,7 +36,7 @@ from paymech import (
     synthesize,
     verify,
 )
-from paymech import security, simplex, synthesis
+from paymech import cli, jsonio, security, simplex, synthesis
 from paymech.synthesis import HONEST_EXPECTED, OBJ_MINMAX, OBJ_WEIGHTED
 
 from .helpers import nested, random_instance, random_profile, random_tree, solvable_instance
@@ -286,6 +288,28 @@ def test_synthesize_builds_constraints_once(commerce, monkeypatch):
     monkeypatch.setattr(security, "build_constraints", counted)
     synthesize(commerce.tree, commerce.info, commerce.profile, SecurityParams(delta=1.0))
     assert len(calls) == 1
+
+
+def test_a_point_that_fails_re_verification_is_a_breakdown(commerce, monkeypatch):
+    # the solver's point with mu[0] 100 higher: payment (0, 0) is 100
+    # lower, and a row of player 0 loses 100 of slack
+    def shifted(lp):
+        out = simplex.solve(lp)
+        x = out.x.copy()
+        x[0] += 100.0
+        return simplex.LpOutcome(out.status, x, out.value)
+
+    monkeypatch.setattr(synthesis, "solve", shifted)
+    message = "solver output fails re-verification (min slack -1.000e+02)"
+    with pytest.raises(NumericalBreakdown) as caught:
+        synthesize(commerce.tree, commerce.info, commerce.profile, SecurityParams(delta=1.0))
+    assert str(caught.value) == message
+    game = jsonio.dumps_canonical(
+        jsonio.game_to_doc(commerce.tree, commerce.info.alphabet, commerce.profile))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.dispatch(["synth", "-", "--delta", "1"], stdout=out, stderr=err,
+                        stdin=io.StringIO(game))
+    assert (code, out.getvalue(), err.getvalue()) == (3, "", f"numerical failure: {message}\n")
 
 
 def test_minmax_duals_certify_the_program_in_lambda(monkeypatch):
