@@ -104,89 +104,3 @@ from .synthesis import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlaSpec",
-    "BadParameters",
-    "BadProbabilitySum",
-    "BoundReport",
-    "COMMERCE_ALPHABET",
-    "CommerceInstance",
-    "CommerceParams",
-    "ConstraintRow",
-    "ConstraintSystem",
-    "DimensionMismatch",
-    "DuplicateNodeId",
-    "Episode",
-    "Error",
-    "GameDocument",
-    "GameTree",
-    "HONEST_EXPECTED",
-    "HONEST_PER_LEAF",
-    "Infeasible",
-    "InfoStructure",
-    "LinearProgram",
-    "LpGadgetInstance",
-    "LpOutcome",
-    "McResult",
-    "MissingBranchChoice",
-    "NegativeComponent",
-    "NoConstraints",
-    "NormReport",
-    "NotLeftInvertible",
-    "NumericalBreakdown",
-    "OBJ_MINMAX",
-    "OBJ_WEIGHTED",
-    "OrderedMap",
-    "PatternViolated",
-    "PaymentScheme",
-    "PreconditionViolated",
-    "PvcInstance",
-    "PvcParams",
-    "SchemeDiagnostics",
-    "SecurityParams",
-    "StrategyProfile",
-    "SynthesisOptions",
-    "TargetNotImplementable",
-    "Unbounded",
-    "UnknownNodeId",
-    "ValidationError",
-    "VerifyReport",
-    "ala_scheme",
-    "backward_induction",
-    "blame_alphabet",
-    "branch",
-    "build_commerce",
-    "build_constraints",
-    "build_pvc",
-    "chance",
-    "check_profile",
-    "constraint_utility_product",
-    "deposit_lower_bound",
-    "dumps_canonical",
-    "expected_utilities",
-    "game_to_doc",
-    "honest_outcome",
-    "implemented_utilities",
-    "inducible_leaves",
-    "leaf",
-    "left_inverse",
-    "lp_to_game",
-    "minmax_deposit",
-    "monte_carlo",
-    "norms",
-    "parse_game_doc",
-    "parse_scheme_doc",
-    "point_from_scheme",
-    "pvc_alphabet",
-    "run_episode",
-    "scheme_diagnostics",
-    "scheme_for_target",
-    "scheme_from_point",
-    "scheme_to_doc",
-    "solve",
-    "spectral_norm",
-    "synthesize",
-    "trial_seed",
-    "verify",
-]

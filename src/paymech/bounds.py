@@ -1,4 +1,4 @@
-"""Matrix norms and lower bounds on the largest deposit."""
+"""Matrix norms, norm-based deposit estimates and the sound deposit bound."""
 
 from __future__ import annotations
 
@@ -70,11 +70,13 @@ class BoundReport:
 def deposit_lower_bound(
     tree: GameTree, info: InfoStructure, profile: StrategyProfile, params: SecurityParams
 ) -> BoundReport:
-    """Norm-based lower bounds on the largest deposit of any scheme that
-    secures the profile at (delta, t), plus the exact delta=0 optimum.
+    """`delta_g`, the min-max deposit at delta = 0, is a sound lower bound:
+    a self-contained scheme securing the profile at (delta, t), any delta
+    >= 0, meets those rows, so its largest payment is no smaller.  The
+    norm-based estimates are not guarantees: a verified scheme can pay less.
 
-    Raises NoConstraints (carrying that optimum) when the instance
-    generates no security rows and the bound is undefined.
+    Raises NoConstraints (carrying `delta_g`) when the instance generates
+    no security rows and the estimates are undefined.
     """
     # only the right-hand side depends on delta, so one delta=0 build serves both
     system = build_constraints(tree, profile, SecurityParams(delta=0.0, t=params.t))

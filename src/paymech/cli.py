@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file with a 'target_e' matrix (players x leaves)")
     _add_output(p)
 
-    p = sub.add_parser("bound", help="report deposit lower bounds for the game")
+    p = sub.add_parser("bound", help="report delta_g, a sound deposit lower bound, and two "
+                                     "norm-based estimates that are not guarantees")
     p.add_argument("game")
     _add_security(p)
     _add_output(p)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameters, DimensionMismatch
+from .errors import BadParameters
 from .game_core import GameTree, StrategyProfile, check_profile
-from .info_structure import InfoStructure, PaymentScheme
+from .info_structure import InfoStructure, PaymentScheme, check_shapes
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,12 +45,7 @@ class Episode:
 def _check_instance(tree, info, scheme, seed):
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise BadParameters(f"seed must be a nonnegative integer, got {seed!r}")
-    if info.m != tree.m:
-        raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
-    if scheme.n != tree.n or scheme.s != info.s:
-        raise DimensionMismatch(
-            f"scheme is {scheme.n}x{scheme.s}, expected {tree.n}x{info.s}"
-        )
+    check_shapes(tree, info, scheme)
 
 
 def run_episode(

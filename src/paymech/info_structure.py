@@ -25,6 +25,7 @@ from .game_core import GameTree, check_emission_columns
 RANK_REL_TOL = 1e-10
 TARGET_RESIDUAL_TOL = 1e-8
 SUM_TOL = 1e-9
+ZERO_INFLATION_TOL = 1e-8
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -136,6 +137,15 @@ class SchemeDiagnostics:
     max_norm: float
 
 
+def check_shapes(tree: GameTree, info: InfoStructure, scheme: PaymentScheme | None = None) -> None:
+    """The shape rule of every analysis: one info column per leaf, and a
+    scheme of one row per player and one column per symbol."""
+    if info.m != tree.m:
+        raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
+    if scheme is not None and (scheme.n != tree.n or scheme.s != info.s):
+        raise DimensionMismatch(f"scheme is {scheme.n}x{scheme.s}, expected {tree.n}x{info.s}")
+
+
 def implemented_utilities(u_matrix, scheme: PaymentScheme, info: InfoStructure) -> np.ndarray:
     """E = U - Lambda @ Phi."""
     u = np.asarray(u_matrix, dtype=np.float64)
@@ -203,7 +213,7 @@ def scheme_diagnostics(scheme: PaymentScheme) -> SchemeDiagnostics:
     )
 
 
-def zero_inflation_precondition(u_matrix, e_target, tol: float = 1e-8) -> bool:
+def zero_inflation_precondition(u_matrix, e_target) -> bool:
     """Columns of U - E must sum to zero for any zero-inflation scheme."""
     diff = np.asarray(u_matrix, dtype=np.float64) - np.asarray(e_target, dtype=np.float64)
-    return bool(np.all(np.abs(diff.sum(axis=0)) <= tol))
+    return bool(np.all(np.abs(diff.sum(axis=0)) <= ZERO_INFLATION_TOL))

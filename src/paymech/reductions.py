@@ -67,14 +67,12 @@ class LpGadgetInstance:
     player 2 chooses per gadget whether to uphold their inequality, and
     player 3 is a moveless liquidity stub whose payments bankroll player
     2's compensations.  Row i is normalized by its sum so the 'uphold'
-    leaf can emit symbol bot_j with probability a_bar[i, j].
+    leaf can emit symbol bot_j with probability a[i, j] / sum(a[i]).
     """
 
     tree: GameTree
     info: InfoStructure
     profile: dict
-    a_bar: np.ndarray
-    b_bar: np.ndarray
     costs: np.ndarray  # 3 x (n+1), +inf pins the forced-zero pattern
     a: np.ndarray
     b: np.ndarray
@@ -141,8 +139,6 @@ def lp_to_game(a, b, c) -> LpGadgetInstance:
         tree=tree,
         info=info,
         profile=profile,
-        a_bar=a_bar,
-        b_bar=b_bar,
         costs=costs,
         a=a,
         b=b,

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BadParameters, DimensionMismatch
 from .game_core import GameTree, StrategyProfile, check_profile
-from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
+from .info_structure import InfoStructure, PaymentScheme, check_shapes, implemented_utilities
 
 SLACK_TOL = 1e-9
 
@@ -67,7 +67,7 @@ class ConstraintRow:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Rows with (honest outcome - leaf) @ E[player[r]] >= rhs[r] required.
+    """Rows with (honest outcome - leaf) @ E[player[r]] >= delta required.
 
     Row r pairs the honest outcome `outcome[r]` of its subgame with the
     deviation leaf `leaf[r]`.  Outcome k puts weight `support_weight[e]`
@@ -85,10 +85,10 @@ class ConstraintSystem:
     support_outcome: np.ndarray  # one entry per (outcome, support leaf)
     support_leaf: np.ndarray
     support_weight: np.ndarray
-    rhs: np.ndarray
     subgame: np.ndarray  # (alpha,) preorder positions in tree
     coalition: np.ndarray  # (alpha,) indices into coalitions
     coalitions: tuple[tuple[int, ...], ...]
+    delta: float  # every row's right-hand side
     tree: GameTree
     n: int
     m: int
@@ -130,11 +130,11 @@ class ConstraintSystem:
     def check(self, e) -> VerifyReport:
         """The slack of every row at implemented utilities e (n, m), and
         the rows it violates beyond SLACK_TOL."""
-        slacks = self.dot(e) - self.rhs
+        slacks = self.dot(e) - self.delta
         slacks.setflags(write=False)
         violations = tuple((self._row(r), float(slacks[r]))
                            for r in np.flatnonzero(slacks < -SLACK_TOL).tolist())
-        return VerifyReport(not violations, slacks, violations, self)
+        return VerifyReport(not violations, slacks, violations)
 
     def _apply(self, y: np.ndarray) -> np.ndarray:
         """(alpha, k): each row's honest outcome of y (k, m) minus y at its leaf."""
@@ -287,12 +287,11 @@ def build_constraints(
     members = np.unpackbits(joined[:, ranked], axis=0, count=n)
     coalitions = tuple(tuple(np.flatnonzero(c).tolist()) for c in members.T)
 
-    rhs = np.full(len(player), float(params.delta))
     arrays = (player, sub_sid[seg], leaf, np.repeat(np.arange(len(sup_len)), sup_len),
-              sup_leaf, sup_weight, rhs, sub[seg], coalition)
+              sup_leaf, sup_weight, sub[seg], coalition)
     for arr in arrays:
         arr.setflags(write=False)
-    return ConstraintSystem(*arrays, coalitions, tree, n, m)
+    return ConstraintSystem(*arrays, coalitions, float(params.delta), tree, n, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +299,6 @@ class VerifyReport:
     passed: bool
     slacks: np.ndarray
     violations: tuple[tuple[ConstraintRow, float], ...]
-    system: ConstraintSystem
 
     @property
     def min_slack(self) -> float | None:
@@ -315,7 +313,6 @@ def verify(
     params: SecurityParams,
 ) -> VerifyReport:
     """Check whether the scheme secures the profile at (delta, t)."""
-    if info.m != tree.m:
-        raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
+    check_shapes(tree, info, scheme)
     system = build_constraints(tree, profile, params)
     return system.check(implemented_utilities(tree.u, scheme, info))

@@ -43,7 +43,6 @@ from .errors import DimensionMismatch, NumericalBreakdown, ValidationError
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 PIVOT_ELIGIBLE = 1e-9
-PIVOT_BREAKDOWN = 1e-12
 
 
 def _as_matrix(mat, ncols, name):
@@ -109,10 +108,7 @@ class LpOutcome:
 
 
 def _pivot(tableau, row, col):
-    piv = tableau[row, col]
-    if abs(piv) < PIVOT_BREAKDOWN:
-        raise NumericalBreakdown(f"pivot element {float(piv)!r} below breakdown threshold")
-    tableau[row] /= piv
+    tableau[row] /= tableau[row, col]
     # one rank-1 update of the rows with a nonzero factor in the column
     factor = tableau[:, col].copy()
     factor[row] = 0.0

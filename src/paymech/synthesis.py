@@ -31,7 +31,7 @@ from .errors import (
     Unbounded,
 )
 from .game_core import GameTree, StrategyProfile, honest_outcome
-from .info_structure import InfoStructure, PaymentScheme, implemented_utilities
+from .info_structure import InfoStructure, PaymentScheme, check_shapes, implemented_utilities
 from .security import SecurityParams, build_constraints
 from .simplex import LinearProgram, solve
 
@@ -98,14 +98,13 @@ def synthesize(
 def _synthesize(tree, info, profile, system, cost_mat=None, opts=SynthesisOptions()):
     """`synthesize` over the rows of `system`, for callers that hold them
     already; the solution is re-verified against the same rows."""
-    if info.m != tree.m:
-        raise DimensionMismatch(f"info structure has {info.m} leaf columns, tree has {tree.m}")
+    check_shapes(tree, info)
     n, s = tree.n, info.s
     ns = n * s
     u = tree.u
 
     colsum = np.tile(np.eye(s), (1, n))
-    g_blocks, h_blocks = [-system.lift(info.phi)], [system.rhs - system.dot(u)]
+    g_blocks, h_blocks = [-system.lift(info.phi)], [system.delta - system.dot(u)]
     eq_blocks = []
     if opts.zero_inflation:
         eq_blocks.append(colsum)

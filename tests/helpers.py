@@ -243,7 +243,7 @@ def oracle_rows(tree, profile, delta, t):
 
 
 def system_rows(system):
-    return {(tuple(row), float(r)) for row, r in zip(system.a, system.rhs)}
+    return {(tuple(row), system.delta) for row in system.a}
 
 
 # --------------------------------------------------- LP vertex oracle

@@ -409,6 +409,23 @@ def test_tree_modules_never_recurse():
     assert recursive == []
 
 
+def test_modules_read_every_name_they_import():
+    # a deletion takes its imports with it: each module reads every name it
+    # imports (the package's __init__ imports only to re-export, and
+    # `from __future__` binds no name)
+    unused = []
+    for info in pkgutil.iter_modules(paymech.__path__):
+        module = ast.parse(inspect.getsource(importlib.import_module(f"paymech.{info.name}")))
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(module)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        unused += [f"paymech.{info.name}: {name}" for name in imported if name not in read]
+    assert unused == []
+
+
 def test_only_game_core_names_node_classes():
     # game_core owns the nested format, and that format is the document's
     # nodes: no module names a node class, and the tree keeps no node object

@@ -1,5 +1,6 @@
 """Constraint generation, verification, and the block form of the rows."""
 
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -23,10 +24,13 @@ from paymech import (
     build_pvc,
     chance,
     check_profile,
+    dumps_canonical,
+    game_to_doc,
     inducible_leaves,
     leaf,
     parse_game_doc,
     run_episode,
+    scheme_to_doc,
     synthesize,
     verify,
 )
@@ -135,6 +139,29 @@ def test_a_leaf_on_the_play_is_no_deviation_even_at_zero_weight(tmp_path):
         assert report["min_slack"] == 0
 
 
+def test_rows_do_not_depend_on_delta():
+    # delta is only the rows' right-hand side, which `deposit_lower_bound`
+    # relies on when it builds once at delta = 0 for every delta
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        tree, _, profile = random_instance(rng, n_players=n, max_nodes=20)
+        for t in range(1, n + 1):
+            zero = build_constraints(tree, profile, SecurityParams(delta=0.0, t=t))
+            other = build_constraints(tree, profile, SecurityParams(delta=1.5, t=t))
+            differ = []
+            for field in dataclasses.fields(zero):
+                a, b = getattr(zero, field.name), getattr(other, field.name)
+                if isinstance(a, np.ndarray):
+                    same = a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                else:
+                    same = a is b or a == b
+                if not same:
+                    differ.append(field.name)
+            assert differ == ["delta"]
+            assert (zero.delta, other.delta) == (0.0, 1.5)
+
+
 def test_rows_are_deduplicated():
     rng = np.random.default_rng(29)
     for _ in range(20):
@@ -176,7 +203,7 @@ def test_verify_slack_tolerance_is_tight(commerce):
     assert not report2.passed
 
 
-def test_shape_faults_rejected(commerce):
+def test_shape_faults_rejected(commerce, tmp_path):
     system = build_constraints(commerce.tree, commerce.profile, SecurityParams(delta=1.0))
     with pytest.raises(DimensionMismatch, match=r"expected a 2x4 matrix, got \(2, 3\)"):
         system.dot(np.zeros((2, 3)))
@@ -190,6 +217,24 @@ def test_shape_faults_rejected(commerce):
         with pytest.raises(DimensionMismatch) as err:
             call()
         assert str(err.value) == "info structure has 5 leaf columns, tree has 4"
+    # a 1-row scheme for the 2 players: the library and the CLI say so in
+    # the same words, whether they verify or play the scheme
+    short = PaymentScheme(commerce.scheme.matrix[:1])
+    message = "scheme is 1x3, expected 2x3"
+    for call in (lambda: verify(commerce.tree, commerce.info, short, commerce.profile, params),
+                 lambda: run_episode(commerce.tree, commerce.info, short, commerce.profile, 0)):
+        with pytest.raises(DimensionMismatch) as err:
+            call()
+        assert str(err.value) == message
+    game_path, scheme_path = tmp_path / "game.json", tmp_path / "scheme.json"
+    alphabet = commerce.info.alphabet
+    game_path.write_text(dumps_canonical(game_to_doc(commerce.tree, alphabet, commerce.profile)))
+    scheme_path.write_text(dumps_canonical(scheme_to_doc(alphabet, short)))
+    for argv in (["verify", game_path, scheme_path, "--delta", "1"],
+                 ["simulate", game_path, scheme_path]):
+        out, err = io.StringIO(), io.StringIO()
+        code = dispatch([str(a) for a in argv], stdout=out, stderr=err)
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
 
 
 def test_block_rows_match_the_dense_matrix():
@@ -338,7 +383,7 @@ def test_row_order_and_metadata_match_the_per_subgame_walk():
         ]
         assert list(system.rows) == rows
         np.testing.assert_array_equal(system.player, [row.deviator for row in rows])
-        np.testing.assert_array_equal(system.rhs, np.full(len(rows), 0.5))
+        assert system.delta == 0.5
         a = system.a
         r, c, value = (np.array(col) for col in zip(*triplets)) if triplets else ([], [], [])
         assert a.shape == (len(rows), tree.n * tree.m) and np.count_nonzero(a) == len(triplets)
