@@ -9,7 +9,6 @@ any scheme needs, and simulates the resulting escrow loop.
 from .bounds import (
     BoundReport,
     NormReport,
-    constraint_utility_product,
     deposit_lower_bound,
     norms,
     spectral_norm,

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import NoConstraints, ValidationError
 from .game_core import GameTree, StrategyProfile
 from .info_structure import InfoStructure
-from .security import ConstraintSystem, SecurityParams, build_constraints
+from .security import SecurityParams, build_constraints
 from .synthesis import _minmax_payment
 
 
@@ -45,15 +45,6 @@ def norms(mat) -> NormReport:
     )
 
 
-def constraint_utility_product(system: ConstraintSystem, u: np.ndarray) -> np.ndarray:
-    """The alpha x n matrix pairing each constraint row with each player's
-    utility row: entry (r, i) applies row r's per-leaf coefficients for
-    player i to that player's utilities.  Its 2-norm drives the bound."""
-    out = np.zeros((system.alpha, system.n))
-    out[np.arange(system.alpha), system.player] = system.dot(u)
-    return out
-
-
 @dataclass(frozen=True)
 class BoundReport:
     optimistic_bound: float
@@ -83,8 +74,15 @@ def deposit_lower_bound(
     delta_g = _minmax_payment(tree, info, profile, system)
     if system.alpha == 0:
         raise NoConstraints("no security constraints generated", min_max_deposit=delta_g)
-    au = constraint_utility_product(system, tree.u)
-    au_norm = spectral_norm(au)
+    # AU pairs each row with its player's utilities: row r holds
+    # system.dot(u)[r] in column player[r] and zeros elsewhere, so the
+    # columns are orthogonal and ||AU||_2 is the largest column norm.  The
+    # values are scaled by the largest |value|, as LAPACK scales them, so
+    # that no square overflows.
+    au = system.dot(tree.u)
+    scale = np.abs(au).max()
+    squares = np.bincount(system.player, (au / (scale or 1.0)) ** 2)
+    au_norm = float(scale * math.sqrt(squares.max()))
     n, s, alpha = tree.n, info.s, system.alpha
     # two readings of the rhs-vector norm: row-sum style and plain Euclidean
     optimistic = (params.delta * math.sqrt(n) + au_norm / math.sqrt(n * alpha)) / (2.0 * s)

@@ -15,8 +15,9 @@ written, and writes a str, float, int or list of them by class before
 trying `isinstance`; `game_to_doc` builds a tree's nodes from its columns
 with `leaf`, `branch` and `chance`.
 
-Every number array and profile from outside, in a document or a flag,
-is read by `read_array` or `read_profile`.
+Every number array and profile from outside, in a document or a JSON
+flag, is read by `read_array` or `read_profile`; the comma-separated
+flags `--u-plus` and `--damages` are read by `cli._parse_float_list`.
 """
 
 from __future__ import annotations

@@ -11,16 +11,20 @@ id, leaf, weight) table.  No two rows share (player, outcome, leaf): no
 two emitting subgames (below) share an outcome.  Rows go by subgame in
 preorder, coalition size, coalition in combinations order, member, leaf.
 
-`build_constraints` works on arrays over the compiled preorder.  Only a
-subgame whose honest outcome differs from its parent's emits rows: any
-other one is followed on-profile by its parent, so its rows repeat the
-parent's.  C reaches leaf j from v exactly when the path from v to j
-has no zero-probability chance edge and C holds its deviators S, the
-owners of the unchosen edges on it.  So a row needs 1 <= |S|, and member
-i gets one exactly when |S + {i}| <= t, first from S + {i}, the smallest
-coalition that holds i and reaches j.  Pointer jumping (`_settle`) finds
-the deepest such edge over every leaf, per player and for chance, so the
-work follows the leaves, players and rows, not the C(n, <= t) coalitions.
+`build_constraints` works on arrays over the compiled preorder.  Play
+follows the chosen moves, and follows a sure chance move (a chance
+node's one positive-probability child, at p = 1) like a chosen one,
+down to its head: a leaf, or a chance node with an outcome id of its
+own.  Only a subgame whose honest outcome differs from its parent's
+emits rows: any other one is followed on-profile by its parent, so its
+rows repeat the parent's.  C reaches leaf j from v exactly when the
+path from v to j has no zero-probability chance edge and C holds its
+deviators S, the owners of the unchosen edges on it.  So a row needs
+1 <= |S|, and each (candidate leaf, member i) pair with |S + {i}| <= t
+gives one row, on S + {i}, the smallest coalition that holds i and
+reaches j.  Pointer jumping (`_settle`) finds the deepest such edge over
+every leaf, per player and for chance, so the work follows the leaves,
+players and rows, not the C(n, <= t) coalitions.
 """
 
 from __future__ import annotations
@@ -216,28 +220,27 @@ def build_constraints(
     lo = np.cumsum(is_leaf) - is_leaf
     hi = leaf_index[_settle(last)] + 1
 
-    # Honest outcomes.  Play from v follows chosen children down to its
-    # head, a leaf or chance node, and v's outcome is the head's.  Leaf j
-    # is outcome j; a chance node's outcome is the leaves it reaches with
-    # positive weight, with id m, m+1, ... unless a head before it had
-    # the same leaves and weights.
+    # Honest outcomes: v's is that of the head its play ends at.  Leaf j
+    # is outcome j; the chance heads take the ids m, m+1, ... in preorder,
+    # each with the leaves it reaches at positive weight.
     sid = leaf_index.copy()
-    ids: dict[tuple, int] = {}
+    follow = np.where(choice >= 0, choice, node)
     zero = np.zeros(size, dtype=bool)  # zero-probability chance children
+    support = []
     for v in np.flatnonzero(~is_leaf & (choice < 0)).tolist():
-        # weights from the top down, as honest_outcome multiplies them
-        honest = [(j, p) for j, p in tree.reach(v, chosen) if p > 0]
-        if len(honest) == 1 and honest[0][1] == 1.0:
-            sid[v] = honest[0][0]
-        else:
-            key = (tuple(j for j, _ in honest), tuple(p for _, p in honest))
-            sid[v] = ids.setdefault(key, m + len(ids))
         zero[[c for q, c in zip(tree.labels[v], tree.kids[v]) if not q > 0]] = True
-    sid = sid[_settle(np.where(choice >= 0, choice, node))]
+        positive = [(q, c) for q, c in zip(tree.labels[v], tree.kids[v]) if q > 0]
+        if len(positive) == 1 and positive[0][0] == 1.0:
+            follow[v] = positive[0][1]
+        else:
+            sid[v] = m + len(support)
+            # weights from the top down, as honest_outcome multiplies them
+            support.append([(j, p) for j, p in tree.reach(v, chosen) if p > 0])
+    sid = sid[_settle(follow)]
     # the support of outcome k is the next sup_len[k] entries
-    sup_len = np.array([1] * m + [len(leaves) for leaves, _ in ids], dtype=np.intp)
-    sup_leaf = np.array([*range(m), *(j for leaves, _ in ids for j in leaves)], dtype=np.intp)
-    sup_weight = np.array([*[1.0] * m, *(p for _, weights in ids for p in weights)])
+    sup_len = np.array([1] * m + [len(s) for s in support], dtype=np.intp)
+    sup_leaf = np.array([*range(m), *(j for s in support for j, _ in s)], dtype=np.intp)
+    sup_weight = np.array([*[1.0] * m, *(p for s in support for _, p in s)])
 
     # A leaf reaches only its own support.
     emit = ~is_leaf & (sid != sid[parent])
@@ -261,30 +264,22 @@ def build_constraints(
     below = top[:, leaf] > sub[seg]
     count = below[:n].sum(axis=0)
     live = np.flatnonzero(~below[n] & (count >= 1) & (count <= params.t))
-    seg, leaf = seg[live], leaf[live]
-    # Group them by deviators S (bits, player 0 first), rank the coalitions
-    # S + {i} by (size, inverted bits), order rows by (subgame, slot, leaf).
-    first, group = _group(np.packbits(below[:n, live], axis=0))
-    deviators = below[:n, live[first]]
-    size_with = deviators.sum(axis=0) + ~deviators  # (member, group)
-    gives = size_with <= params.t
-    member, of = np.nonzero(gives)
-    joined = np.packbits(deviators[:, of] | (np.arange(n)[:, None] == member), axis=0)
-    ranked, rank = _group(np.vstack([size_with[gives], ~joined]))
-    slot = np.zeros_like(size_with)
-    slot[gives] = rank * n + member
-    player, pos = np.nonzero(gives[:, group])
-    slot = slot[player, group[pos]]
-    order = np.argsort(seg[pos] * (len(ranked) * n) + slot, kind="stable")
-    slot, pos = slot[order], pos[order]
+    below, count, seg, leaf = below[:n, live], count[live], seg[live], leaf[live]
+    # A row per (member i, candidate) with |S + {i}| <= t, on the coalition
+    # S + {i}; coalitions rank by (size, inverted bits, player 0 first),
+    # and rows go by (subgame, coalition, member, leaf).
+    size_with = count + ~below  # (member, candidate)
+    player, pos = np.nonzero(size_with <= params.t)
+    bits = np.packbits(below[:, pos] | (np.arange(n)[:, None] == player), axis=0)
+    first, coalition = _group(np.vstack([size_with[player, pos], ~bits]))
+    order = np.lexsort((player, coalition, seg[pos]))
     # Rows are unique as built.  A subgame has one row per (player, leaf),
-    # and no two emitting subgames share an outcome: its support lies under
-    # both heads, so the lower subgame is on the upper one's play, and its
-    # parent has the same outcome (a chance parent whose one positive child
-    # has p = 1 takes the child's id by key), so the lower one does not
-    # emit.  Every ranked coalition comes from a (member, group) with rows.
-    player, leaf, seg, coalition = slot % n, leaf[pos], seg[pos], slot // n
-    members = np.unpackbits(joined[:, ranked], axis=0, count=n)
+    # and no two emitting subgames share an outcome: the subgames with a
+    # head's outcome are the path down to it that play follows, and only
+    # the top one emits.
+    player, coalition, pos = player[order], coalition[order], pos[order]
+    leaf, seg = leaf[pos], seg[pos]
+    members = np.unpackbits(bits[:, first], axis=0, count=n)
     coalitions = tuple(tuple(np.flatnonzero(c).tolist()) for c in members.T)
 
     arrays = (player, sub_sid[seg], leaf, np.repeat(np.arange(len(sup_len)), sup_len),

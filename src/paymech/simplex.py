@@ -18,9 +18,12 @@ is set to zero, which makes the phase-one basis a vertex of the dual of
 the c = 0 program, and the same steps go on from it: an unbounded phase
 two is a Farkas ray (infeasible), and otherwise the final basis gives a
 primal point, which the recheck certifies (unbounded).  The primal point
-and both sets of multipliers are solved from the one final basis, which
-must give finite values, and overflow on the way (a smallest ratio that
-is not finite, or a NaN reduced cost) is a NumericalBreakdown too.
+and both sets of multipliers, or the unbounded ray, are solved from the
+one final basis, which must be nonsingular and give finite values and
+nonnegative multipliers; the ray must prove infeasibility (Farkas: a y = 0
+and h.y > 0 at y >= 0).  A basis that fails is a NumericalBreakdown, and
+so is overflow on the way (a smallest ratio that is not finite, or a NaN
+reduced cost).
 Pivoting uses Bland's rule, so the method terminates without cycling:
 the first column with a negative reduced cost enters, and among the rows
 that tie in the ratio test (within 1e-12 (1 + |r|) of the smallest ratio
@@ -120,7 +123,8 @@ def _run(tableau, basis):
     """Iterate to optimality with Bland's rule.
 
     The last tableau row holds reduced costs, the last column the rhs;
-    every other column may enter.  Returns "optimal" or "unbounded".
+    every other column may enter.  Returns ("optimal", None), or
+    ("unbounded", j) when no row bounds the entering column j.
     """
     nrows = tableau.shape[0] - 1
     for _ in range(2000 + 200 * (2 * nrows + tableau.shape[1] - 1)):
@@ -129,12 +133,12 @@ def _run(tableau, basis):
             # a NaN reads as no negative: the multipliers overflowed
             if np.isnan(tableau[-1, :-1]).any():
                 raise NumericalBreakdown("the basis gives a point that is not finite")
-            return "optimal"
+            return "optimal", None
         enter = negative[0]
         col = tableau[:nrows, enter]
         eligible = np.flatnonzero(col > PIVOT_ELIGIBLE)
         if not eligible.size:
-            return "unbounded"
+            return "unbounded", enter
         ratios = tableau[eligible, -1] / col[eligible]
         best = ratios.min()
         if not math.isfinite(best):
@@ -199,19 +203,34 @@ def solve(lp: LinearProgram) -> LpOutcome:
     for r, b in enumerate(basis):
         if cost[b] != 0.0:
             tableau[-1, :] -= cost[b] * tableau[r, :]
-    if _run(tableau, basis) == "unbounded":
-        return LpOutcome("infeasible")  # an unbounded dual ray
+    status, enter = _run(tableau, basis)
 
-    # y and x from the final basis itself: tableau reads carry pivot drift
+    # y and x, or the unbounded ray y, from the final basis itself:
+    # tableau reads carry pivot drift
     bmat = np.eye(d)
     real = basis < m
     bmat[:, real] = a[:, basis[real]]
     y = np.zeros(m + d)
     try:
-        y[basis] = np.linalg.solve(bmat, b0)
-        x = -signs * np.linalg.solve(bmat.T, cost[basis])
+        if status == "unbounded":
+            y[basis] = -np.linalg.solve(bmat, a[:, enter])
+            y[enter] = 1.0
+        else:
+            y[basis] = np.linalg.solve(bmat, b0)
+            x = -signs * np.linalg.solve(bmat.T, cost[basis])
     except np.linalg.LinAlgError:
         raise NumericalBreakdown("final basis is singular") from None
+    if y.min(initial=0.0) < -FEAS_TOL * (1.0 + np.abs(y).max(initial=0.0)):
+        raise NumericalBreakdown("the final basis gives a negative dual value")
+    if status == "unbounded":
+        # a Farkas ray, a y = 0 and h_all.y > 0 at y >= 0, proves the primal
+        # infeasible; both products are held to the scale of their factors
+        ray = y[:m]
+        scale = FEAS_TOL * np.abs(ray).max()
+        if (np.abs(a @ ray).max() > scale * np.abs(a).max()
+                or not h_all @ ray > scale * np.abs(h_all).max()):
+            raise NumericalBreakdown("the unbounded dual ray does not prove infeasibility")
+        return LpOutcome("infeasible")
     value = float(lp.c @ x)
     if not (math.isfinite(value) and np.isfinite(x).all()):
         raise NumericalBreakdown("the basis gives a point that is not finite")

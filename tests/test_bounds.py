@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from paymech import (
+    CommerceParams,
     GameTree,
     InfoStructure,
     NoConstraints,
@@ -13,8 +14,8 @@ from paymech import (
     SecurityParams,
     ValidationError,
     branch,
+    build_commerce,
     build_constraints,
-    constraint_utility_product,
     deposit_lower_bound,
     leaf,
     norms,
@@ -56,16 +57,32 @@ def test_norm_report_values():
     assert rep.two_norm == pytest.approx(np.linalg.norm([[1, -2], [3, 4]], 2))
 
 
-def test_constraint_utility_product_matches_direct_loop(commerce):
-    system = build_constraints(commerce.tree, commerce.profile, SecurityParams(delta=1.0))
-    u = commerce.tree.u
-    got = constraint_utility_product(system, u)
-    want = np.array([
-        [row.reshape(commerce.tree.n, commerce.tree.m)[i] @ u[i] for i in range(commerce.tree.n)]
-        for row in system.a
-    ])
-    np.testing.assert_allclose(got, want, atol=1e-12)
-    np.testing.assert_allclose(got, [[-100.0, 0.0], [0.0, 50.0], [100.0, 0.0]], atol=1e-9)
+def test_au_norm_is_the_spectral_norm_of_the_dense_product():
+    # AU pairs each row of `system.a` with every player's utilities: entry
+    # (r, i) applies row r's coefficients for player i to u[i]
+    rng = np.random.default_rng(59)
+    reports = 0
+    for _ in range(80):
+        n = int(rng.integers(1, 5))
+        tree, info, profile = random_instance(rng, n_players=n, max_nodes=16)
+        for t in range(1, n + 1):
+            try:
+                report = deposit_lower_bound(tree, info, profile, SecurityParams(delta=0.5, t=t))
+            except NoConstraints:
+                continue
+            system = build_constraints(tree, profile, SecurityParams(delta=0.0, t=t))
+            au = np.einsum("rim,im->ri", system.a.reshape(-1, tree.n, tree.m), tree.u)
+            assert report.au_norm == pytest.approx(spectral_norm(au), rel=1e-12)
+            reports += 1
+    assert reports >= 200
+
+
+def test_au_norm_of_huge_utilities_is_finite():
+    # the squares of 1e200 overflow; the scaled column norms do not
+    game = build_commerce(CommerceParams(x=1e200, x_prime=5e199, y=1.5e200, eps=0.1))
+    report = deposit_lower_bound(game.tree, game.info, game.profile, SecurityParams(delta=1.0))
+    assert math.isfinite(report.au_norm)
+    assert report.au_norm == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
 
 
 def test_commerce_bound_report(commerce):

@@ -426,6 +426,27 @@ def test_modules_read_every_name_they_import():
     assert unused == []
 
 
+def test_package_uses_every_private_function_and_class():
+    # a deletion takes its helpers with it: each module-level def or class
+    # named _x is read somewhere in the package, as a name, an attribute
+    # or an imported name
+    private, read = [], set()
+    for info in pkgutil.iter_modules(paymech.__path__):
+        module = ast.parse(inspect.getsource(importlib.import_module(f"paymech.{info.name}")))
+        private += [f"paymech.{info.name}.{node.name}" for node in module.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")]
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert private
+    assert [name for name in private if name.rsplit(".", 1)[1] not in read] == []
+
+
 def test_only_game_core_names_node_classes():
     # game_core owns the nested format, and that format is the document's
     # nodes: no module names a node class, and the tree keeps no node object

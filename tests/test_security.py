@@ -370,6 +370,28 @@ def test_row_order_and_metadata_match_the_per_subgame_walk():
     for moves in product("ab", "xy", "uv"):
         profile = dict(zip(("r", "b", "d"), moves))
         cases += [(nested, profile, 1), (nested, profile, 2)]
+    # a p = 1 chance node (c1) is followed like a chosen move: its play
+    # meets the head c7, which comes after a second head, c3, in preorder,
+    # and the zero-probability child c0 heads a subtree of its own
+    follow = GameTree(("A", "B"), branch("r", 0, [
+        ("a", chance("c1", [
+            (1.0, branch("b2", 1, [
+                ("x", chance("c3", [(0.5, leaf("l1", (1.0, 2.0), (1.0,))),
+                                    (0.5, leaf("l2", (3.0, 0.0), (1.0,)))])),
+                ("y", chance("c7", [
+                    (0.25, leaf("l3", (0.0, 5.0), (1.0,))),
+                    (0.75, branch("d", 0, [("u", leaf("l4", (4.0, 1.0), (1.0,))),
+                                           ("v", leaf("l5", (2.0, 2.0), (1.0,)))])),
+                ])),
+            ])),
+            (0.0, chance("c0", [(0.5, leaf("l6", (6.0, 0.0), (1.0,))),
+                                (0.5, leaf("l7", (0.0, 6.0), (1.0,)))])),
+        ])),
+        ("b", leaf("l8", (1.0, 1.0), (1.0,))),
+    ]))
+    for moves in product("ab", "xy", "uv"):
+        profile = dict(zip(("r", "b2", "d"), moves))
+        cases += [(follow, profile, 1), (follow, profile, 2)]
     chain = _chain(1500)
     cases.append((chain, backward_induction(chain), 1))
     cases.append((chain, {f"b{d}": "stop" if d % 7 == 3 else "go" for d in range(1500)}, 1))

@@ -167,8 +167,53 @@ def test_singular_final_basis(monkeypatch):
     (LinearProgram(c=[1.0], a_eq=[[1.0], [1.0]], b_eq=[5.0, 6.0]), "an equality"),
 ])
 def test_recheck_rejects_a_basis_that_stopped_early(monkeypatch, lp, kind):
-    monkeypatch.setattr(simplex, "_run", lambda *args: "optimal")
+    monkeypatch.setattr(simplex, "_run", lambda *args: ("optimal", None))
     with pytest.raises(NumericalBreakdown, match=f"^optimal basis violates {kind} on recheck$"):
+        solve(lp)
+
+
+def test_singular_basis_under_an_unbounded_ray(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    lp = LinearProgram(c=[1.0], g=[[1.0], [-1.0]], h=[1.0, 0.0])  # x >= 1 and x <= 0
+    assert solve(lp).status == "infeasible"
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericalBreakdown, match="^final basis is singular$"):
+        solve(lp)
+
+
+def _second_run(monkeypatch, basis, outcome):
+    """Make phase two stop at once on `basis` with `outcome`."""
+    run, calls = simplex._run, []
+
+    def fake(tableau, current):
+        calls.append(1)
+        if len(calls) == 1:
+            return run(tableau, current)
+        current[:] = basis
+        return outcome
+
+    monkeypatch.setattr(simplex, "_run", fake)
+
+
+def test_negative_multiplier_is_a_breakdown(monkeypatch):
+    # x >= 0 and -x >= -5 at c = 1: the dual row is y0 - y1 = 1, and the
+    # basis {y1} gives y1 = -1
+    lp = LinearProgram(c=[1.0], g=[[1.0], [-1.0]], h=[0.0, -5.0])
+    assert solve(lp).is_optimal
+    _second_run(monkeypatch, [1], ("optimal", None))
+    with pytest.raises(NumericalBreakdown, match="^the final basis gives a negative dual value$"):
+        solve(lp)
+
+
+def test_ray_that_proves_nothing_is_a_breakdown(monkeypatch):
+    # the same program is feasible: its ray y = (1, 1) from the basis {y0}
+    # and column y1 meets a y = 0 and y >= 0, but h.y = -5
+    lp = LinearProgram(c=[1.0], g=[[1.0], [-1.0]], h=[0.0, -5.0])
+    _second_run(monkeypatch, [0], ("unbounded", 1))
+    with pytest.raises(NumericalBreakdown,
+                       match="^the unbounded dual ray does not prove infeasibility$"):
         solve(lp)
 
 

@@ -1,5 +1,6 @@
 """Scheme synthesis: objectives, side constraints, and failure modes."""
 
+import dataclasses
 import importlib.util
 import io
 import json
@@ -26,6 +27,7 @@ from paymech import (
     branch,
     chance,
     build_commerce,
+    build_constraints,
     build_pvc,
     honest_outcome,
     implemented_utilities,
@@ -386,6 +388,25 @@ SCALE_ROWS = [
     ("8x16", 1.0, None, 39),
     ("pvc-32", 1.0, 2.0, 33),
 ]
+
+
+def test_drifted_tableau_is_a_breakdown_not_infeasible():
+    # The 40 rows of largest h among the 6288 t = 2 rows of a 4-player,
+    # 64-symbol tree form a feasible program (min-max 31.028471120471 by a
+    # certified revised simplex).  Bland's rule drifts the tableau over
+    # 74 321 pivots until phase two reads an unbounded column, whose
+    # entries are all below PIVOT_ELIGIBLE, off a singular basis.
+    gen = _bench_gen()
+    game = parse_game_doc(json.loads(gen.game_text(
+        gen.balanced_tree(3, 5, 4, players=4, symbols=64))))
+    system = build_constraints(game.tree, game.profile, SecurityParams(delta=0.0, t=2))
+    h = system.delta - system.dot(game.tree.u)
+    keep = np.sort(np.argsort(-h, kind="stable")[:40])
+    fields = ("player", "outcome", "leaf", "subgame", "coalition")
+    rows = dataclasses.replace(system, **{f: getattr(system, f)[keep] for f in fields})
+    # here the basis is singular; elsewhere the ray check may catch it
+    with pytest.raises(NumericalBreakdown):
+        synthesis._synthesize(game.tree, game.info, game.profile, rows)
 
 
 @pytest.mark.parametrize("name, delta, deposit, pivots", SCALE_ROWS)
