@@ -13,11 +13,11 @@ preorder, coalition size, coalition in combinations order, member, leaf.
 
 `build_constraints` works on arrays over the compiled preorder.  Play
 follows the chosen moves, and follows a sure chance move (a chance
-node's one positive-probability child, at p = 1) like a chosen one,
-down to its head: a leaf, or a chance node with an outcome id of its
-own.  Only a subgame whose honest outcome differs from its parent's
-emits rows: any other one is followed on-profile by its parent, so its
-rows repeat the parent's.  C reaches leaf j from v exactly when the
+node's p = 1 child, under which lies every leaf of positive weight)
+like a chosen one, down to its head: a leaf, or a chance node with an
+outcome id of its own.  Only a subgame whose honest outcome differs
+from its parent's emits rows: any other one is followed on-profile by
+its parent, so its rows repeat the parent's.  C reaches leaf j from v exactly when the
 path from v to j has no zero-probability chance edge and C holds its
 deviators S, the owners of the unchosen edges on it.  So a row needs
 1 <= |S|, and each (candidate leaf, member i) pair with |S + {i}| <= t
@@ -229,13 +229,17 @@ def build_constraints(
     support = []
     for v in np.flatnonzero(~is_leaf & (choice < 0)).tolist():
         zero[[c for q, c in zip(tree.labels[v], tree.kids[v]) if not q > 0]] = True
-        positive = [(q, c) for q, c in zip(tree.labels[v], tree.kids[v]) if q > 0]
-        if len(positive) == 1 and positive[0][0] == 1.0:
-            follow[v] = positive[0][1]
+        # weights from the top down, as honest_outcome multiplies them
+        honest = [(j, p) for j, p in tree.reach(v, chosen) if p > 0]
+        # a sure move: the p = 1 child holds every leaf of positive weight
+        # (a sibling's may all underflow to 0), and times 1.0 is exact
+        sure = [c for q, c in zip(tree.labels[v], tree.kids[v]) if q == 1.0
+                and all(lo[c] <= j < hi[c] for j, _ in honest)]
+        if sure:
+            follow[v] = sure[0]
         else:
             sid[v] = m + len(support)
-            # weights from the top down, as honest_outcome multiplies them
-            support.append([(j, p) for j, p in tree.reach(v, chosen) if p > 0])
+            support.append(honest)
     sid = sid[_settle(follow)]
     # the support of outcome k is the next sup_len[k] entries
     sup_len = np.array([1] * m + [len(s) for s in support], dtype=np.intp)

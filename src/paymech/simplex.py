@@ -224,11 +224,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
         raise NumericalBreakdown("the final basis gives a negative dual value")
     if status == "unbounded":
         # a Farkas ray, a y = 0 and h_all.y > 0 at y >= 0, proves the primal
-        # infeasible; both products are held to the scale of their factors
+        # infeasible.  Each product is held to the size of what enters it:
+        # h.y to |h|.|y|, and each row of a y, the residual of the solve
+        # above (an artificial's y in full), to max |y| times the largest
+        # entry in that row of the basis and the entering column
         ray = y[:m]
-        scale = FEAS_TOL * np.abs(ray).max()
-        if (np.abs(a @ ray).max() > scale * np.abs(a).max()
-                or not h_all @ ray > scale * np.abs(h_all).max()):
+        size = np.abs(np.column_stack([bmat, a[:, enter]])).max(axis=1) * np.abs(y).max()
+        if ((np.abs(a @ ray) > FEAS_TOL * size).any()
+                or not h_all @ ray > FEAS_TOL * (np.abs(h_all) @ np.abs(ray))):
             raise NumericalBreakdown("the unbounded dual ray does not prove infeasibility")
         return LpOutcome("infeasible")
     value = float(lp.c @ x)

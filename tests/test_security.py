@@ -410,6 +410,31 @@ def test_row_order_and_metadata_match_the_per_subgame_walk():
         r, c, value = (np.array(col) for col in zip(*triplets)) if triplets else ([], [], [])
         assert a.shape == (len(rows), tree.n * tree.m) and np.count_nonzero(a) == len(triplets)
         assert np.array_equal(a[r, c], value)
+    # u's p = 1 child b holds every leaf of positive weight: its sibling's
+    # leaves get 5e-324 * 0.5, which underflows to 0, so u is sure and b's
+    # subgame does not repeat the root's rows under an outcome id of its
+    # own.  The walk above counts the on-play leaves l4 and l5 as reached,
+    # so these rows are pinned, and checked against the brute-force oracle.
+    tiny = GameTree(("A", "B"), branch("r", 0, [
+        ("go", chance("u", [
+            (1.0, branch("b", 1, [
+                ("a", chance("h", [(0.5, leaf("l1", (1.0, 2.0), (1.0,))),
+                                   (0.5, leaf("l2", (2.0, 1.0), (1.0,)))])),
+                ("z", leaf("l3", (0.0, 5.0), (1.0,))),
+            ])),
+            (5e-324, chance("d", [(0.5, leaf("l4", (9.0, 9.0), (1.0,))),
+                                  (0.5, leaf("l5", (9.0, 9.0), (1.0,)))])),
+        ])),
+        ("out", leaf("l6", (0.0, 0.0), (1.0,))),
+    ]))
+    profile = {"r": "go", "b": "a"}
+    expected = {1: [("r", (0,), 0, 5), ("r", (1,), 1, 2)],
+                2: [("r", (0,), 0, 5), ("r", (1,), 1, 2), ("r", (0, 1), 0, 2), ("r", (0, 1), 1, 5)]}
+    for t, rows in expected.items():
+        system = build_constraints(tiny, profile, SecurityParams(delta=0.5, t=t))
+        assert list(system.rows) == [ConstraintRow(*row) for row in rows]
+        assert system.outcome.tolist() == [6] * len(rows)
+        assert system_rows(system) == oracle_rows(tiny, profile, 0.5, t)
 
 
 def test_coalitions_are_the_used_ones_and_the_smallest_that_force_each_row():

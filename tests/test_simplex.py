@@ -217,6 +217,26 @@ def test_ray_that_proves_nothing_is_a_breakdown(monkeypatch):
         solve(lp)
 
 
+def test_infeasible_beside_a_row_of_far_larger_scale():
+    # x1 >= 1 and x1 <= 0 next to x2 >= 1e12: the ray y = (1, 1, 0) has
+    # a y = 0 and h.y = 1, which 1e12 in a row it does not use must not hide
+    out = solve(LinearProgram(c=[1.0, 1.0], g=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                              h=[1.0, 0.0, 1e12]))
+    assert out.status == "infeasible"
+
+
+def test_ray_off_a_y_0_is_a_breakdown_beside_a_large_column(monkeypatch):
+    # the basis {row 0's artificial, y2} and column y1 give y = (0, 1, 0):
+    # h.y = 1e6 > 0 but (a y)_0 = -1, which the 1e12 of the column y2,
+    # unused by the ray, must not excuse
+    lp = LinearProgram(c=[1.0, 1.0], g=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1e12]],
+                       h=[0.0, 1e6, 1.0])
+    _second_run(monkeypatch, [3, 2], ("unbounded", 1))
+    with pytest.raises(NumericalBreakdown,
+                       match="^the unbounded dual ray does not prove infeasibility$"):
+        solve(lp)
+
+
 def test_no_variables():
     out = solve(LinearProgram(c=np.zeros(0)))
     assert out.is_optimal
