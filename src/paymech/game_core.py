@@ -27,8 +27,8 @@ code.  One pass over an explicit stack checks each node's JSON types and
 places it, appending its position to its parent's child list and
 numbering its leaf; then each value rule runs once over its whole column
 (ids, branches, chance probabilities, leaves).  Pickles and copies hold
-the tree's own columns, which passed every rule when the tree was read,
-and restore them without a second reading.  Each call resolves a
+the tree's fields as they are, which passed every rule when the tree was
+read, and restore them without a second reading.  Each call resolves a
 strategy profile once, through `check_profile`, into `chosen`, the
 chosen child position of every branch; a profile that misses a branch
 or names another id is rejected.  The analyses are two loops over
@@ -36,8 +36,9 @@ these columns, one per question, none recursive:
 - where on-profile or coalition play can go: the top-down spread
   `GameTree.reach`, which yields leaf numbers (`honest_outcome`,
   `expected_utilities`, `inducible_leaves`, a chance node's honest
-  outcome in `security.build_constraints`, and the (leaf, symbol) law
-  an escrow episode is drawn from);
+  outcome in `security.build_constraints`, the leaves whose symbols
+  per-leaf honest invariance keeps free of payments in `synthesis`, and
+  the (leaf, symbol) law an escrow episode is drawn from);
 - what each player should do: `backward_induction`, one pass over
   reversed preorder.
 `security.build_constraints` loops over no other node: it copies the
@@ -107,12 +108,13 @@ class GameTree:
     Validation happens at construction: node ids must be unique, chance
     probabilities and leaf emissions must be distributions, utility
     vectors must be finite and match the player count, and all leaves
-    must emit over the same symbol count.  A pickle or copy holds the
-    fields but `positions` and restores them unchecked; pickle streams
-    are not an input format, and unpickling untrusted bytes is unsafe in
-    itself.  Pickling, deepcopy, == and hash go through the columns, so
-    deep trees do not recurse; a zero utility or probability equals its
-    negative, as it does in a tuple.
+    must emit over the same symbol count.  A pickle or copy is the
+    dataclass default: it holds every field and restores them unchecked,
+    and `__setstate__` makes `u` and `phi` read-only again; pickle
+    streams are not an input format, and unpickling untrusted bytes is
+    unsafe in itself.  The fields are flat columns, so pickling, deepcopy,
+    == and hash do not recurse on deep trees; a zero utility or
+    probability equals its negative, as it does in a tuple.
     """
 
     players: tuple[str, ...]
@@ -129,15 +131,13 @@ class GameTree:
 
     def __init__(self, players, root):
         players = check_players(players)
-        self._install(players, *_read_tree(len(players), root))
-
-    def _install(self, *values):
-        for f, value in zip(fields(self), values):
+        for f, value in zip(fields(self), (players, *_read_tree(len(players), root))):
             object.__setattr__(self, f.name, value)
 
-    def __reduce__(self):
-        return _restore, (self.players, self.ids, self.owner, self.labels, self.kids,
-                          self.leaf_index, self.u, self.phi)
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.u.setflags(write=False)
+        self.phi.setflags(write=False)
 
     def __eq__(self, other):
         if type(other) is not GameTree:
@@ -193,18 +193,6 @@ class GameTree:
             else:
                 todo.append((chosen[v], p))
         return out
-
-
-def _restore(players, ids, owner, labels, kids, leaf_index, u, phi) -> GameTree:
-    """The tree whose fields `GameTree.__reduce__` gave, as a pickle or a
-    copy holds them: it installs them, rebuilds `positions` and makes `u`
-    and `phi` read-only, and does not read or check the tree again."""
-    u.setflags(write=False)
-    phi.setflags(write=False)
-    tree = object.__new__(GameTree)
-    tree._install(players, ids, owner, labels, kids, leaf_index,
-                  dict(zip(ids, range(len(ids)))), u, phi)
-    return tree
 
 
 def check_players(players) -> tuple[str, ...]:

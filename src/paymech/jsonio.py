@@ -217,13 +217,17 @@ class GameDocument:
     costs: np.ndarray | None
 
 
+def _names(doc, key, what) -> list:
+    """The document's `key` entry: a nonempty list of strings."""
+    names = _require(doc, key, list, "document")
+    if not names or not all(isinstance(x, str) for x in names):
+        raise ValidationError(f"{key} must be a nonempty list of {what}")
+    return names
+
+
 def parse_game_doc(doc) -> GameDocument:
-    players = _require(doc, "players", list, "document")
-    if not players or not all(isinstance(p, str) for p in players):
-        raise ValidationError("players must be a nonempty list of names")
-    alphabet = _require(doc, "alphabet", list, "document")
-    if not alphabet or not all(isinstance(a, str) for a in alphabet):
-        raise ValidationError("alphabet must be a nonempty list of symbols")
+    players = _names(doc, "players", "names")
+    alphabet = _names(doc, "alphabet", "symbols")
     # arguments run left to right: the players are checked before the tree is read
     tree = GameTree(check_players(players), _require(doc, "tree", dict, "document"))
     info = InfoStructure.from_tree(tree, tuple(alphabet))
@@ -242,8 +246,6 @@ def scheme_to_doc(alphabet, scheme: PaymentScheme) -> dict:
 
 
 def parse_scheme_doc(doc) -> tuple[tuple[str, ...], PaymentScheme]:
-    alphabet = _require(doc, "alphabet", list, "document")
-    if not alphabet or not all(isinstance(a, str) for a in alphabet):
-        raise ValidationError("alphabet must be a nonempty list of symbols")
+    alphabet = _names(doc, "alphabet", "symbols")
     lam = read_array(_require(doc, "lambda", list, "document"), "lambda", (None, len(alphabet)))
     return tuple(alphabet), PaymentScheme(lam)

@@ -6,7 +6,10 @@ objective.  Security rows come from the constraint builder and are
 lifted into payment space through the emission matrix; self-containment
 adds one row per symbol.  Infinite cost entries pin the corresponding
 payment to zero (rows of the identity), and honest invariance repeats
-one block per player (a Kronecker product with the identity).  Every
+one block per player (a Kronecker product with the identity).  Per leaf,
+that block has one row per leaf of the on-profile play, the leaves
+`GameTree.reach` lists, as `build_constraints` and the escrow read them;
+in expectation, one row, the symbol pdf of the honest outcome.  Every
 block is built over the payments alone; the min-max objective then
 appends the D column and its cap rows D >= lambda once.  That program is
 solved over mu = D*1 - lambda and D, an invertible change of variables
@@ -30,7 +33,7 @@ from .errors import (
     NumericalBreakdown,
     Unbounded,
 )
-from .game_core import GameTree, StrategyProfile, honest_outcome
+from .game_core import GameTree, StrategyProfile, check_profile, honest_outcome
 from .info_structure import InfoStructure, PaymentScheme, check_shapes, implemented_utilities
 from .security import SecurityParams, build_constraints
 from .simplex import LinearProgram, solve
@@ -48,7 +51,8 @@ class SynthesisOptions:
 
     zero_inflation turns the per-symbol column-sum inequality into an
     equality.  honest_invariance forces payments to vanish on the honest
-    outcome, either per supported leaf or only in expectation.
+    outcome, either on every leaf that on-profile play reaches, however
+    small its float weight, or only in expectation.
     """
 
     objective: str = OBJ_MINMAX
@@ -114,10 +118,12 @@ def _synthesize(tree, info, profile, system, cost_mat=None, opts=SynthesisOption
     if cost_mat is not None:
         eq_blocks.append(np.eye(ns)[np.flatnonzero(np.isposinf(cost_mat))])
     if opts.honest_invariance:
-        weights, _ = honest_outcome(tree, tree.ids[0], profile)
         if opts.honest_form == HONEST_PER_LEAF:
-            per_player = info.phi[:, weights > 0.0].T  # one row per supported leaf
+            # one row per leaf on-profile play reaches, however small its weight
+            on_play = [j for j, _ in tree.reach(0, check_profile(tree, profile))]
+            per_player = info.phi[:, on_play].T
         else:
+            weights, _ = honest_outcome(tree, tree.ids[0], profile)
             per_player = (info.phi @ weights)[None, :]  # symbol pdf of the honest outcome
         eq_blocks.append(np.kron(np.eye(n), per_player))
     g, h = np.vstack(g_blocks), np.concatenate(h_blocks)

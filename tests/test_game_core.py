@@ -89,7 +89,9 @@ def test_deep_chain_pickles_and_deepcopies():
         node = branch(f"b{d}", d % 2, [("stop", leaf(f"s{d}", (1.0, float(d)), (1.0, 0.0))),
                                        ("go", node)])
     tree = GameTree(("A", "B"), node)
-    for twin in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+    pickled = [pickle.loads(pickle.dumps(tree, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (*pickled, copy.copy(tree), copy.deepcopy(tree)):
         assert_same_columns(twin, tree)
 
 

@@ -1,5 +1,6 @@
 """Constraint generation, verification, and the block form of the rows."""
 
+import copy
 import dataclasses
 import io
 import json
@@ -17,7 +18,9 @@ from paymech import (
     InfoStructure,
     PaymentScheme,
     PvcParams,
+    Infeasible,
     SecurityParams,
+    SynthesisOptions,
     backward_induction,
     branch,
     build_constraints,
@@ -26,6 +29,7 @@ from paymech import (
     check_profile,
     dumps_canonical,
     game_to_doc,
+    honest_outcome,
     inducible_leaves,
     leaf,
     parse_game_doc,
@@ -113,17 +117,17 @@ UNDERFLOW = {
 }
 
 
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = dispatch([str(a) for a in argv], stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_a_leaf_on_the_play_is_no_deviation_even_at_zero_weight(tmp_path):
     game = parse_game_doc(UNDERFLOW)
     expected = {1: [("r", (0,), 0, 3)], 2: [("r", (0,), 0, 3), ("r", (0, 1), 1, 3)]}
     game_path, scheme_path = tmp_path / "game.json", tmp_path / "scheme.json"
     game_path.write_text(json.dumps(UNDERFLOW))
-
-    def run(*argv):
-        out, err = io.StringIO(), io.StringIO()
-        code = dispatch([str(a) for a in argv], stdout=out, stderr=err)
-        return code, out.getvalue(), err.getvalue()
-
     for t, rows in expected.items():
         system = build_constraints(game.tree, game.profile, SecurityParams(delta=1.0, t=t))
         assert list(system.rows) == [ConstraintRow(*row) for row in rows]
@@ -137,6 +141,45 @@ def test_a_leaf_on_the_play_is_no_deviation_even_at_zero_weight(tmp_path):
         assert (code, err) == (0, "")
         assert report["passed"] and report["num_constraints"] == len(rows)
         assert report["min_slack"] == 0
+
+
+def emitting_underflow(p):
+    """UNDERFLOW over the alphabet x, z, with both probabilities on B's
+    path `p`: B (utilities [1, 0]) and D (utilities [5, 0]) emit z, A and
+    C emit x."""
+    doc = copy.deepcopy(UNDERFLOW)
+    doc["alphabet"] = ["x", "z"]
+    children = doc["tree"]["branch"]["children"]
+    c1 = children["go"]["chance"]["children"]
+    c2 = c1[0]["node"]["chance"]["children"]
+    c1[0]["p"] = c2[0]["p"] = p
+    c2[0]["node"]["leaf"].update(utilities=[1, 0], emission=[0, 1])
+    children["out"]["leaf"].update(utilities=[5, 0], emission=[0, 1])
+    return doc
+
+
+def test_per_leaf_honest_invariance_covers_a_leaf_on_the_play_at_zero_weight(tmp_path):
+    # B is on the play and emits z, so per-leaf invariance leaves no payment
+    # on either symbol and P, at 1 on the play, prefers D's 5: no scheme,
+    # whether or not B's weight of p * p underflows to 0.  In expectation z
+    # is (about) off the play, and a charge of 5 on it deters "out".
+    game_path = tmp_path / "game.json"
+    for p, underflows in ((1e-200, True), (1e-100, False)):
+        doc = emitting_underflow(p)
+        game = parse_game_doc(doc)
+        weights, _ = honest_outcome(game.tree, "r", game.profile)
+        assert (weights[0] == 0.0) == underflows
+        with pytest.raises(Infeasible):
+            synthesize(game.tree, game.info, game.profile, SecurityParams(delta=1.0),
+                       opts=SynthesisOptions(honest_invariance=True))
+        game_path.write_text(json.dumps(doc))
+        code, out, err = run("synth", game_path, "--delta", 1, "--honest-invariant")
+        assert code == 1 and json.loads(out)["status"] == "infeasible"
+        assert err.startswith("infeasible: ")
+        code, out, err = run("synth", game_path, "--delta", 1, "--honest-invariant",
+                             "--honest-form", "expected")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lambda"] == [[0, 5], [0, 5]]
 
 
 def test_rows_do_not_depend_on_delta():
